@@ -18,8 +18,7 @@ from .canon import (OrbitCapExceeded, canonical_form, canonical_form_colored,
 from .construct import CapabilityError
 from .graphs import Graph, from_graph6, to_graph6
 from .graphstates import classify_theorem, standard_generators
-from .stabilizer import (distance_upper_bound, is_even_code, msc_check,
-                         s_equals_m)
+from .stabilizer import distance_upper_bound, is_even_code
 
 GENERATOR_MAX_N = 11
 
@@ -252,11 +251,11 @@ def classify_lc_classes(graphs, config: CensusConfig) -> CensusReport:
     for ck in sorted(reps):
         rep_g6, orbit_size, capped = reps[ck]
         rep = from_graph6(rep_g6)
-        s = standard_generators(rep)
+        cls = classify_theorem(rep)
         records.append(ClassRecord(
-            key=ck, rep_g6=rep_g6, delta=s.distance(),
-            msc=msc_check(s).passed, s_eq_m=s_equals_m(s),
-            tag=classify_theorem(rep).tag,
+            key=ck, rep_g6=rep_g6,
+            delta=standard_generators(rep).distance(),
+            msc=cls.msc.passed, s_eq_m=cls.msc.s_eq_m, tag=cls.tag,
             orbit_size=orbit_size, capped=capped))
     return CensusReport(n=config.n, graphs_seen=seen, records=tuple(records))
 

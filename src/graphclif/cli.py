@@ -37,7 +37,7 @@ from .graphstates import (classify_theorem, stabilizer_to_graph,
 from .rmcodes import (build_css, css_distance, logical_state_stabilizer,
                       punctured_rm1, transversal_weight_check)
 from .stabilizer import (FULL_PROFILE_LIMIT, STREAM_LIMIT, is_even_code,
-                         msc_check, s_equals_m)
+                         msc_check)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -86,7 +86,6 @@ def cmd_analyze(args) -> int:
             f"analyze needs the full support profile (n <= {FULL_PROFILE_LIMIT})")
     s = standard_generators(g)
     part = vertex_partition(g)
-    m = msc_check(s)
     cls = classify_theorem(g)
     results = {
         "n": g.n,
@@ -98,9 +97,9 @@ def cmd_analyze(args) -> int:
         },
         "has_triangle": g.has_triangle(),
         "has_four_cycle": g.has_four_cycle(),
-        "msc": m.passed,
-        "letters": ["".join(sorted(lset)) for lset in m.letters],
-        "s_eq_m": s_equals_m(s),
+        "msc": cls.msc.passed,
+        "letters": ["".join(sorted(lset)) for lset in cls.msc.letters],
+        "s_eq_m": cls.msc.s_eq_m,
         "even_code": is_even_code(s),
         "tag": cls.tag,
         "satisfied": list(cls.satisfied),
@@ -118,6 +117,8 @@ _FILTERS = {
 
 def cmd_census(args) -> int:
     t0 = time.monotonic()
+    if args.jobs < 1:
+        raise ParseFailure(f"--jobs must be at least 1, got {args.jobs}")
     inputs = {"jobs": args.jobs}
     if args.infile:
         inputs["in"] = args.infile
@@ -130,10 +131,18 @@ def cmd_census(args) -> int:
         if not graphs:
             raise ParseFailure("empty graph6 stream")
         n = graphs[0].n
+        for i, g in enumerate(graphs, 1):
+            if g.n != n:
+                raise ParseFailure(
+                    f"graph {i} has {g.n} vertices, the first has {n}")
+            if not g.is_connected():
+                raise ParseFailure(f"graph {i} is not connected")
         report = classify_lc_classes(
             iter(graphs), CensusConfig(n=n, jobs=args.jobs))
     else:
         n = args.n
+        if n < 1:
+            raise ParseFailure(f"--n must be at least 1, got {n}")
         inputs["n"] = n
         report = run_census(n, jobs=args.jobs)
 
@@ -286,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_census)
 
     pr = sub.add_parser("rm", help="punctured Reed-Muller CSS report")
-    pr.add_argument("--m", type=int, required=True, choices=(3, 4, 5, 6))
+    pr.add_argument("--m", type=int, required=True, choices=(3, 4, 5))
     pr.add_argument("--state", required=True, choices=("zero", "plus"))
     pr.set_defaults(func=cmd_rm)
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cliffords import LocalCliffordOp, clifford_by_name
-from .canon import canonical_form
 from .graphs import Graph, bar_graph
 from .pauli import PauliOperator
-from .stabilizer import StabilizerGroup, msc_check
+from .stabilizer import MSCResult, StabilizerGroup, msc_check
 
 
 def standard_generators(g: Graph) -> StabilizerGroup:
@@ -113,25 +112,21 @@ def has_weight_two_element(g: Graph) -> bool:
     return False
 
 
-_GHZ_KEYS: dict[int, tuple] = {}
-
-
 def is_ghz_class(g: Graph) -> bool:
     """Does the orbit contain a star (equivalently a complete graph)?
 
-    The star's orbit is just {star, complete}: complementing the center
-    gives the complete graph, complementing any vertex of the complete
-    graph gives the star centered there, and leaves change nothing.  So
-    membership is two key comparisons, never an orbit walk.
+    The star's orbit is exactly the complete graph plus the star centered
+    at each vertex: complementing the center gives the complete graph,
+    complementing any vertex of the complete graph gives the star centered
+    there, and leaves change nothing.  So membership is a degree test:
+    every vertex has degree n - 1, or one does and there are n - 1 edges.
     """
-    if g.n == 1:
-        return True
-    if g.n not in _GHZ_KEYS:
-        _GHZ_KEYS[g.n] = (
-            canonical_form(Graph.star(g.n)) if g.n >= 2 else None,
-            canonical_form(Graph.complete(g.n)),
-        )
-    return canonical_form(g) in _GHZ_KEYS[g.n]
+    n = g.n
+    degrees = [g.degree(v) for v in range(n)]
+    edges = sum(degrees) // 2
+    complete = edges == n * (n - 1) // 2
+    star = max(degrees) == n - 1 and edges == n - 1
+    return complete or star
 
 
 @dataclass(frozen=True)
@@ -139,16 +134,18 @@ class TheoremClassification:
     tag: str
     satisfied: tuple
     conditions: dict
+    msc: MSCResult  # of g's own standard generators, for reports to reuse
 
 
 def classify_theorem(g: Graph) -> TheoremClassification:
     """First satisfied route wins: GHZ, MainTheorem, MSC, Delta2BarMSC;
     otherwise Open."""
     assert g.is_connected(), "classification is defined for connected graphs"
+    msc = msc_check(standard_generators(g))
     conditions = {}
     conditions["GHZ"] = is_ghz_class(g)
     conditions["MainTheorem"] = g.girth_exceeds_four()
-    conditions["MSC"] = msc_check(standard_generators(g)).passed
+    conditions["MSC"] = msc.passed
     delta2 = has_weight_two_element(g)
     residual, _ = bar_graph(g)
     conditions["Delta2BarMSC"] = bool(
@@ -158,4 +155,5 @@ def classify_theorem(g: Graph) -> TheoremClassification:
     )
     satisfied = tuple(name for name, ok in conditions.items() if ok)
     tag = satisfied[0] if satisfied else "Open"
-    return TheoremClassification(tag=tag, satisfied=satisfied, conditions=conditions)
+    return TheoremClassification(tag=tag, satisfied=satisfied,
+                                 conditions=conditions, msc=msc)

@@ -6,14 +6,22 @@ of k generators has exactly 2^k distinct elements.  State groups have
 k == n, but subgroups (for instance the one generated by all minimal
 elements) are first-class citizens here.
 
-Two enumeration engines coexist.  The exact one walks the group in
-Gray-code order, one generator multiplication per step, and yields
-PauliOperator objects; it backs membership, minimal elements, and every
-phase-sensitive question.  The vectorized one packs (x, z) masks into
-uint64 numpy arrays by table doubling and answers phase-blind bulk
-questions (distance, support multiplicities) for group orders far beyond
-what object streaming can reach; it splits the generator set and streams
+Two engines coexist.  The exact one multiplies PauliOperator objects, so
+phases are exact: element_from_mask builds one element, membership
+reduces over GF(2) and builds at most one, and enumerate_elements walks
+the whole group in Gray-code order for the phase-sensitive callers that
+need every element.  The vectorized one packs (x, z) masks into uint64
+numpy arrays by table doubling and answers phase-blind bulk questions
+(distance, support multiplicities) for group orders far beyond what
+object streaming can reach; it splits the generator set and streams
 2^high chunks of 2^low elements, so order 2^31 scans stay in fixed memory.
+
+The minimal-support structure is linear algebra over that table.  Index i
+of the table is the element picked by generator mask i, so the minimal
+elements are the indices whose support is minimal, the minimal subgroup M
+is spanned by a GF(2) basis of those indices (built exactly through
+element_from_mask), the letters of M at a qubit are the nonzero span of
+the basis's (x, z) pairs there, and S = M exactly when rank M = k.
 """
 
 from __future__ import annotations
@@ -209,57 +217,91 @@ def support_profile(group: StabilizerGroup) -> SupportProfile:
     return SupportProfile(distance=distance, a_counts=counts, minimal=minimal)
 
 
+def _minimal_masks(group: StabilizerGroup) -> np.ndarray:
+    """Generator masks of the minimal elements, ascending.
+
+    The minimal supports are found first, so their own table is freed
+    before this one is built and only one 2^k table is alive at a time.
+    """
+    minimal = minimal_supports(group)
+    x, z = group._mask_table(group.generators)
+    x |= z
+    del z
+    if group.n <= FULL_PROFILE_LIMIT:
+        is_minimal = np.zeros(1 << group.n, dtype=bool)
+        is_minimal[list(minimal)] = True
+        return np.flatnonzero(is_minimal[x])
+    # a 2^n lookup does not fit for wide subgroups: binary search instead
+    table = np.sort(np.array(minimal, dtype=np.uint64))
+    pos = np.searchsorted(table, x) % len(table)
+    return np.flatnonzero(table[pos] == x)
+
+
+def _span_basis(vectors: np.ndarray) -> list[int]:
+    """GF(2) basis of a set of bit vectors, one vectorized XOR pass per
+    basis vector: the largest vector clears its top bit from the rest."""
+    basis = []
+    while vectors.size:
+        top = vectors.max()
+        basis.append(int(top))
+        bit = 1 << (int(top).bit_length() - 1)
+        vectors = np.where(vectors & bit, vectors ^ top, vectors)
+        vectors = vectors[vectors != 0]
+    return basis
+
+
+def _minimal_generators(group: StabilizerGroup) -> list[PauliOperator]:
+    """Independent generators of the minimal subgroup M, signs exact."""
+    basis = _span_basis(_minimal_masks(group))
+    return [group.element_from_mask(mask) for mask in basis]
+
+
 def minimal_elements(group: StabilizerGroup) -> list[PauliOperator]:
-    """All elements whose support is minimal, in Gray-scan order."""
-    wanted = set(minimal_supports(group))
-    out = []
-    for p in group.enumerate_elements():
-        if p.support_mask in wanted:
-            out.append(p)
-    return out
+    """All elements whose support is minimal, by ascending generator mask."""
+    return [group.element_from_mask(int(mask)) for mask in _minimal_masks(group)]
 
 
 def minimal_subgroup(group: StabilizerGroup) -> StabilizerGroup:
     """The subgroup generated by all minimal elements (with their signs)."""
-    solver = _GF2Solver()
-    gens = []
-    for p in minimal_elements(group):
-        if solver.add(_symplectic_vec(p), 0):
-            gens.append(p)
+    gens = _minimal_generators(group)
     assert gens, "a nontrivial group always has minimal elements"
     return StabilizerGroup(gens)
-
-
-def letters_per_qubit(group: StabilizerGroup) -> tuple[frozenset, ...]:
-    """Which of X, Y, Z occur at each qubit across all group elements."""
-    seen = [set() for _ in range(group.n)]
-    for p in group.enumerate_elements():
-        mask = p.support_mask
-        j = 0
-        while mask >> j:
-            if (mask >> j) & 1:
-                seen[j].add(p.letter(j + 1))
-            j += 1
-    return tuple(frozenset(s) for s in seen)
 
 
 @dataclass(frozen=True)
 class MSCResult:
     passed: bool
     letters: tuple
+    s_eq_m: bool
+
+
+_ALL_LETTERS = frozenset("XYZ")
+
+
+def _letters(gens, j: int) -> frozenset:
+    """Letters at qubit j across the group the gens generate: the nonzero
+    part of the span of their (x_j, z_j) pairs."""
+    codes = {((g.x_bits >> j) & 1) | (((g.z_bits >> j) & 1) << 1)
+             for g in gens}
+    codes.discard(0)
+    if len(codes) > 1:
+        return _ALL_LETTERS
+    return frozenset("IXZY"[c] for c in codes)
 
 
 def msc_check(group: StabilizerGroup) -> MSCResult:
     """Minimal support condition: X, Y and Z all occur on every qubit
-    within the subgroup generated by the minimal elements."""
-    letters = letters_per_qubit(minimal_subgroup(group))
-    passed = all(s == frozenset("XYZ") for s in letters)
-    return MSCResult(passed=passed, letters=letters)
+    within the subgroup M generated by the minimal elements.  Also
+    reports S = M, which holds exactly when rank M = k."""
+    gens = _minimal_generators(group)
+    letters = tuple(_letters(gens, j) for j in range(group.n))
+    return MSCResult(passed=all(s == _ALL_LETTERS for s in letters),
+                     letters=letters, s_eq_m=len(gens) == group.k)
 
 
 def s_equals_m(group: StabilizerGroup) -> bool:
     """Does the minimal-element subgroup already generate the whole group?"""
-    return minimal_subgroup(group).k == group.k
+    return len(_span_basis(_minimal_masks(group))) == group.k
 
 
 def local_elements(group: StabilizerGroup, omega_mask: int) -> list[PauliOperator]:

@@ -114,6 +114,33 @@ def test_census_empty_file_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--n", "4", "--jobs", "0"],
+    ["census", "--n", "4", "--jobs", "-2"],
+    ["census", "--n", "0"],
+])
+def test_census_bad_counts_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("graphs", [
+    [Graph.cycle(5), Graph.cycle(6)],  # mixed order
+    [Graph.cycle(5), Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])],
+])
+def test_census_bad_stream_exits_2(capsys, tmp_path, graphs):
+    path = tmp_path / "graphs.g6"
+    path.write_text("\n".join(to_graph6(g) for g in graphs) + "\n")
+    code, out, err = run(capsys, ["census", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_census_over_generator_cap_exits_3(capsys):
     code, _, err = run(capsys, ["census", "--n", "12"])
     assert code == 3
@@ -151,6 +178,15 @@ def test_rm_m3_plus(capsys):
     assert r["state"]["delta"] == 3
     assert r["state"]["msc"] is True
     assert r["transversal_weight_check"] is True
+
+
+def test_rm_m6_is_not_offered(capsys):
+    # rm1(6) has length 64, past the 63-bit cap of BinaryCode
+    with pytest.raises(SystemExit) as exc:
+        main(["rm", "--m", "6", "--state", "zero"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "Traceback" not in err
 
 
 def test_rm_m4_zero(capsys):
