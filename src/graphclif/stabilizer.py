@@ -218,7 +218,8 @@ def support_profile(group: StabilizerGroup) -> SupportProfile:
 
 
 def _minimal_masks(group: StabilizerGroup) -> np.ndarray:
-    """Generator masks of the minimal elements, ascending.
+    """Generator masks of the minimal elements, ascending: the table
+    indices whose support a binary search finds among the minimal ones.
 
     The minimal supports are found first, so their own table is freed
     before this one is built and only one 2^k table is alive at a time.
@@ -227,11 +228,6 @@ def _minimal_masks(group: StabilizerGroup) -> np.ndarray:
     x, z = group._mask_table(group.generators)
     x |= z
     del z
-    if group.n <= FULL_PROFILE_LIMIT:
-        is_minimal = np.zeros(1 << group.n, dtype=bool)
-        is_minimal[list(minimal)] = True
-        return np.flatnonzero(is_minimal[x])
-    # a 2^n lookup does not fit for wide subgroups: binary search instead
     table = np.sort(np.array(minimal, dtype=np.uint64))
     pos = np.searchsorted(table, x) % len(table)
     return np.flatnonzero(table[pos] == x)
