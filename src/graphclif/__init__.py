@@ -3,12 +3,11 @@ constructive conversion of local-unitary equivalences to local-Clifford form."""
 
 __version__ = "0.1.0"
 
-from .pauli import MAX_QUBITS, PauliOperator, identity, parse_pauli, single_letter
+from .pauli import MAX_QUBITS, PauliOperator, identity, parse_pauli
 from .stabilizer import (FULL_PROFILE_LIMIT, STREAM_LIMIT, MSCResult,
                          StabilizerGroup, distance_upper_bound, is_even_code,
-                         local_elements, minimal_elements, minimal_subgroup,
-                         minimal_supports, msc_check, s_equals_m,
-                         support_profile)
+                         minimal_elements, minimal_subgroup, minimal_supports,
+                         msc_check, s_equals_m, support_profile)
 from .cliffords import (CLIFFORD_CATALOG, IDENTITY_1Q, LocalCliffordOp,
                         SingleQubitClifford, clifford_by_name,
                         conjugate_stabilizer, find_clifford_conjugator,
@@ -16,14 +15,12 @@ from .cliffords import (CLIFFORD_CATALOG, IDENTITY_1Q, LocalCliffordOp,
 from .graphs import (Graph, VertexPartition, bar_graph, from_graph6,
                      parse_edge_list, to_graph6, vertex_partition)
 from .canon import (OrbitCapExceeded, canonical_form, canonical_form_colored,
-                    canonical_graph, lc_class_key, lc_class_representative,
-                    lc_orbit)
+                    canonical_graph, lc_class_key, lc_orbit)
 from .graphstates import (TheoremClassification, classify_theorem,
                           has_weight_two_element, is_ghz_class,
                           stabilizer_to_graph, standard_generators)
 from .states import (apply_local, apply_pauli, equal_up_to_global_phase,
-                     graph_state_vector, stabilizer_state_vector,
-                     verify_proposition2)
+                     graph_state_vector, stabilizer_state_vector)
 from .construct import (CapabilityError, Fact1Error, LCResult, LUInstance,
                         UnsupportedClassError, construct_lc,
                         generate_instance, verify_lc, weight_two_elements)
@@ -36,22 +33,22 @@ from .census import (CensusConfig, CensusReport, ClassRecord, beyond_msc,
                      msc_without_equality, run_census, scan)
 
 __all__ = [
-    "MAX_QUBITS", "PauliOperator", "identity", "parse_pauli", "single_letter",
+    "MAX_QUBITS", "PauliOperator", "identity", "parse_pauli",
     "FULL_PROFILE_LIMIT", "STREAM_LIMIT", "MSCResult", "StabilizerGroup",
-    "distance_upper_bound", "is_even_code", "local_elements",
-    "minimal_elements", "minimal_subgroup", "minimal_supports", "msc_check",
-    "s_equals_m", "support_profile",
+    "distance_upper_bound", "is_even_code", "minimal_elements",
+    "minimal_subgroup", "minimal_supports", "msc_check", "s_equals_m",
+    "support_profile",
     "CLIFFORD_CATALOG", "IDENTITY_1Q", "LocalCliffordOp",
     "SingleQubitClifford", "clifford_by_name", "conjugate_stabilizer",
     "find_clifford_conjugator", "is_clifford", "pauli_match",
     "Graph", "VertexPartition", "bar_graph", "from_graph6", "parse_edge_list",
     "to_graph6", "vertex_partition",
     "OrbitCapExceeded", "canonical_form", "canonical_form_colored",
-    "canonical_graph", "lc_class_key", "lc_class_representative", "lc_orbit",
+    "canonical_graph", "lc_class_key", "lc_orbit",
     "TheoremClassification", "classify_theorem", "has_weight_two_element",
     "is_ghz_class", "stabilizer_to_graph", "standard_generators",
     "apply_local", "apply_pauli", "equal_up_to_global_phase",
-    "graph_state_vector", "stabilizer_state_vector", "verify_proposition2",
+    "graph_state_vector", "stabilizer_state_vector",
     "CapabilityError", "Fact1Error", "LCResult", "LUInstance",
     "UnsupportedClassError", "construct_lc", "generate_instance", "verify_lc",
     "weight_two_elements",

@@ -233,8 +233,3 @@ def lc_class_key(g: Graph, cap: int | None = None) -> int:
     """Least canonical key over the local-complementation orbit: a total
     invariant for single-qubit Clifford equivalence of graph states."""
     return min(lc_orbit(g, cap=cap))
-
-
-def lc_class_representative(g: Graph, cap: int | None = None) -> Graph:
-    orbit = lc_orbit(g, cap=cap)
-    return orbit[min(orbit)]

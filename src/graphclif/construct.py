@@ -40,7 +40,7 @@ from .cliffords import (CLIFFORD_CATALOG, IDENTITY_1Q, LocalCliffordOp,
 from .graphs import Graph, from_graph6, to_graph6, vertex_partition
 from .graphstates import classify_theorem, standard_generators
 from .pauli import PauliOperator, parse_pauli
-from .stabilizer import StabilizerGroup
+from .stabilizer import StabilizerGroup, mask_tables
 from .states import (DENSE_LIMIT, apply_local, equal_up_to_global_phase,
                      graph_state_vector, is_antidiagonal, is_diagonal,
                      stabilizer_state_vector)
@@ -125,9 +125,21 @@ def _check_unitary(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 # -- instance generation -----------------------------------------------------
 
 
+def _gray_rank(mask: int) -> int:
+    """The step at which a Gray-code walk of generator masks reaches mask."""
+    rank = 0
+    while mask:
+        rank ^= mask
+        mask >>= 1
+    return rank
+
+
 def weight_two_elements(group: StabilizerGroup) -> list:
-    assert group.n <= 20, "weight-2 scan enumerates the full group"
-    return [e for e in group.enumerate_elements() if e.weight() == 2]
+    """The weight-2 elements, in the order of a Gray-code walk of the group."""
+    assert group.n <= 20, "weight-2 scan tabulates the full group"
+    x, z = mask_tables(group.generators)
+    masks = np.flatnonzero(np.bitwise_count(x | z) == 2).tolist()
+    return [group.element_from_mask(m) for m in sorted(masks, key=_gray_rank)]
 
 
 def _rotation(p1: PauliOperator, theta: float) -> np.ndarray:
@@ -334,21 +346,20 @@ def _search_completion(g: Graph, s_prime: StabilizerGroup, k_factors, unresolved
     """
     n = g.n
     target = standard_generators(g)
-    elements = list(target.enumerate_elements())
     gens = s_prime.generators
 
     # letter code 2*x + z per (element, qubit)
-    codes = np.zeros((len(elements), n), dtype=np.uint8)
-    for row, e in enumerate(elements):
-        for q in range(n):
-            codes[row, q] = 2 * ((e.x_bits >> q) & 1) + ((e.z_bits >> q) & 1)
+    x, z = mask_tables(target.generators)
+    qubits = np.arange(n, dtype=np.uint64)
+    codes = (2 * ((x[:, None] >> qubits) & 1)
+             + ((z[:, None] >> qubits) & 1)).astype(np.uint8)
 
     def image_code(gen: PauliOperator, q: int, factor: SingleQubitClifford) -> int:
         w = PauliOperator(1, (gen.x_bits >> q) & 1, (gen.z_bits >> q) & 1, 0)
         img = factor.conjugate(w)
         return 2 * img.x_bits + img.z_bits
 
-    masks = [np.ones(len(elements), dtype=bool) for _ in gens]
+    masks = [np.ones(len(codes), dtype=bool) for _ in gens]
     for q in range(n):
         if k_factors[q] is None:
             continue

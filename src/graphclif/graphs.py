@@ -296,10 +296,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, pairs)
 
 
-def format_edge_list(g: Graph) -> str:
-    return ",".join(f"{u + 1}-{v + 1}" for u, v in g.edges())
-
-
 def to_graph6(g: Graph) -> str:
     """graph6 text for n <= 62: header byte n+63, then the upper triangle
     in column order, 6 bits per printable byte, zero padded."""

@@ -159,19 +159,6 @@ def identity(n: int) -> PauliOperator:
     return PauliOperator(n, 0, 0, 0)
 
 
-def single_letter(n: int, qubit: int, letter: str) -> PauliOperator:
-    """One non-identity letter at a 1-based qubit label."""
-    assert 1 <= qubit <= n, "qubit label out of range"
-    j = qubit - 1
-    if letter == "X":
-        return PauliOperator(n, 1 << j, 0, 0)
-    if letter == "Z":
-        return PauliOperator(n, 0, 1 << j, 0)
-    if letter == "Y":
-        return PauliOperator(n, 1 << j, 1 << j, 1)
-    raise ValueError(f"unknown letter {letter!r}")
-
-
 def parse_pauli(text: str) -> PauliOperator:
     """Parse strings like 'XZI', '-YY', 'iXZ', '+IZX' (qubit 1 leftmost)."""
     s = text.strip()

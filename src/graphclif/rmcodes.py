@@ -6,6 +6,12 @@ so puncturing drops bit 0.  The quantum code stacks X stabilizers from
 the even subcode C2 and Z stabilizers from the dual of C1; adding
 Z on every qubit or X on the logical-X support pins the logical zero
 and plus states.
+
+The GF(2) work is gf2.py's: a code's basis is an Echelon, membership is
+a reduction against it, and the codewords are a span_table.  Words of
+C1 outside C2 are the coset C2 + anchor for any anchor in C1 minus C2, so
+coset weights come from one shifted span table, not a membership test
+per word.
 """
 
 from __future__ import annotations
@@ -14,43 +20,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf2 import Echelon, span_table
 from .pauli import PauliOperator
 from .stabilizer import StabilizerGroup
-
-
-def _gf2_basis(rows):
-    """Row-reduce, dropping dependent rows; returns pivot-sorted basis."""
-    basis = []
-    for row in rows:
-        cur = row
-        for b in basis:
-            cur = min(cur, cur ^ b)
-        if cur:
-            basis.append(cur)
-            basis.sort(reverse=True)
-    return basis
 
 
 class BinaryCode:
     """A linear code over GF(2) with an explicit generator basis."""
 
     def __init__(self, length: int, rows):
-        assert 0 < length <= 63
-        self.length = length
+        if not 0 < length <= 63:
+            raise ValueError(f"code length {length} outside 1..63")
         rows = [int(r) for r in rows]
-        assert all(0 <= r < (1 << length) for r in rows)
-        self.rows = tuple(_gf2_basis(rows))
-        assert len(self.rows) == len(rows), "generator rows must be independent"
+        if not all(0 <= r < (1 << length) for r in rows):
+            raise ValueError("generator row exceeds the code length")
+        echelon = Echelon()
+        for r in rows:
+            if not echelon.add(r):
+                raise ValueError("generator rows must be independent")
+        self.length = length
+        self._echelon = echelon
+        self.rows = echelon.rows
 
     @property
     def k(self) -> int:
         return len(self.rows)
 
     def codewords(self) -> np.ndarray:
-        words = np.zeros(1, dtype=np.uint64)
-        for r in self.rows:
-            words = np.concatenate([words, words ^ np.uint64(r)])
-        return words
+        return span_table(self.rows)
 
     def weights(self) -> np.ndarray:
         return np.bitwise_count(self.codewords())
@@ -64,10 +61,7 @@ class BinaryCode:
         return (self.length, self.k, self.min_distance())
 
     def contains(self, word: int) -> bool:
-        cur = int(word)
-        for b in self.rows:
-            cur = min(cur, cur ^ b)
-        return cur == 0
+        return self._echelon.reduce(int(word))[0] == 0
 
     def dual(self) -> "BinaryCode":
         """Kernel basis of the generator matrix."""
@@ -104,7 +98,8 @@ class BinaryCode:
 
 def rm1(m: int) -> BinaryCode:
     """First-order Reed-Muller: all-ones plus the m coordinate forms."""
-    assert 3 <= m <= 6
+    if not 3 <= m <= 5:
+        raise ValueError(f"rm1 supports m in 3..5, got {m}")
     n = 1 << m
     ones = (1 << n) - 1
     rows = [ones]
@@ -172,21 +167,18 @@ def logical_state_stabilizer(css: CSSCode, choice: str) -> StabilizerGroup:
     return StabilizerGroup(gens)
 
 
+def _coset_weights(rows, anchor: int) -> np.ndarray:
+    """Weights of the words of the coset span(rows) + anchor."""
+    return np.bitwise_count(span_table(rows) ^ np.uint64(anchor))
+
+
 def css_distance(css: CSSCode) -> int:
-    """Minimum weight over both logical coset representatives (n <= 15)."""
+    """Minimum weight over both logical coset representatives (n <= 15):
+    C1 minus C2 is span(x_rows) + logical_x, and C2-dual minus C1-dual is
+    span(z_rows) + logical_z."""
     assert css.n <= 15, "coset enumeration is kept at desk scale"
-    c1 = BinaryCode(css.n, list(css.x_rows) + [css.logical_x])
-    c2 = BinaryCode(css.n, css.x_rows)
-    dual2 = c2.dual()
-    dual1 = c1.dual()
-
-    def coset_min(code: BinaryCode, sub: BinaryCode) -> int:
-        words = code.codewords()
-        inside = np.fromiter((sub.contains(int(w)) for w in words),
-                             dtype=bool, count=words.size)
-        return int(np.bitwise_count(words[~inside]).min())
-
-    return min(coset_min(c1, c2), coset_min(dual2, dual1))
+    return int(min(_coset_weights(css.x_rows, css.logical_x).min(),
+                   _coset_weights(css.z_rows, css.logical_z).min()))
 
 
 def transversal_weight_check(m: int) -> bool:
@@ -198,8 +190,6 @@ def transversal_weight_check(m: int) -> bool:
     w2 = set(int(w) for w in c2.weights())
     if not w2 <= {0, half}:
         return False
-    words = c1.codewords()
-    inside = np.fromiter((c2.contains(int(w)) for w in words),
-                         dtype=bool, count=words.size)
-    w_outside = set(int(w) for w in np.bitwise_count(words[~inside]))
+    odd = [r for r in c1.rows if r.bit_count() % 2]
+    w_outside = set(_coset_weights(c2.rows, odd[0]).tolist()) if odd else set()
     return w_outside <= {half - 1, (1 << m) - 1}

@@ -1,4 +1,4 @@
-"""Stabilizer groups, their enumeration, and support structure.
+"""Stabilizer groups and their support structure.
 
 A group is held as a tuple of independent, pairwise-commuting, Hermitian
 Pauli generators; independence over GF(2) rules out -I, so a valid group
@@ -6,22 +6,23 @@ of k generators has exactly 2^k distinct elements.  State groups have
 k == n, but subgroups (for instance the one generated by all minimal
 elements) are first-class citizens here.
 
-Two engines coexist.  The exact one multiplies PauliOperator objects, so
-phases are exact: element_from_mask builds one element, membership
-reduces over GF(2) and builds at most one, and enumerate_elements walks
-the whole group in Gray-code order for the phase-sensitive callers that
-need every element.  The vectorized one packs (x, z) masks into uint64
-numpy arrays by table doubling and answers phase-blind bulk questions
-(distance, support multiplicities) for group orders far beyond what
-object streaming can reach; it splits the generator set and streams
-2^high chunks of 2^low elements, so order 2^31 scans stay in fixed memory.
+All linear algebra goes through gf2.py.  An Echelon over the generators'
+symplectic vectors decides membership, and element_from_mask turns a
+generator mask into its element with the exact phase.  The phase-blind
+bulk questions (distance, support multiplicities, minimal supports) read
+mask_tables, one gf2.span_table over the x masks and one over the z
+masks: index i of both tables is the element picked by generator mask i.
+distance splits the generators and streams 2^high chunks of 2^low
+elements, so order 2^31 scans stay in fixed memory.  enumerate_elements
+still walks the whole group one PauliOperator at a time, as a test
+oracle.
 
-The minimal-support structure is linear algebra over that table.  Index i
-of the table is the element picked by generator mask i, so the minimal
-elements are the indices whose support is minimal, the minimal subgroup M
-is spanned by a GF(2) basis of those indices (built exactly through
-element_from_mask), the letters of M at a qubit are the nonzero span of
-the basis's (x, z) pairs there, and S = M exactly when rank M = k.
+The minimal-support structure is linear algebra over those tables.  The
+minimal elements are the indices whose support is minimal, the minimal
+subgroup M is spanned by an Echelon basis of those indices (made exact
+through element_from_mask), the letters of M at a qubit are the nonzero
+span of the basis's (x, z) pairs there, and S = M exactly when
+rank M = k.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf2 import Echelon, span_table
 from .pauli import PauliOperator, identity
 
 FULL_PROFILE_LIMIT = 20  # full in-memory support tables up to 2^20 elements
@@ -37,60 +39,41 @@ STREAM_LIMIT = 31  # distance-only scans up to 2^31 elements
 _CHUNK_BITS = 20
 
 
-class _GF2Solver:
-    """Row-echelon basis over GF(2) with combination tracking."""
-
-    def __init__(self):
-        self.rows = []  # (vector, pivot_bit, combo_mask)
-
-    def reduce(self, vec: int, combo: int = 0) -> tuple[int, int]:
-        for row, pivot, row_combo in self.rows:
-            if (vec >> pivot) & 1:
-                vec ^= row
-                combo ^= row_combo
-        return vec, combo
-
-    def add(self, vec: int, combo: int) -> bool:
-        """Insert a vector; returns False if it was already in the span."""
-        vec, combo = self.reduce(vec, combo)
-        if vec == 0:
-            return False
-        pivot = vec.bit_length() - 1
-        self.rows.append((vec, pivot, combo))
-        self.rows.sort(key=lambda r: -r[1])
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def _symplectic_vec(p: PauliOperator) -> int:
     return p.x_bits | (p.z_bits << p.n)
+
+
+def mask_tables(paulis) -> tuple[np.ndarray, np.ndarray]:
+    """x and z masks of every product of the paulis, indexed by the mask
+    that selects the factors (phases dropped)."""
+    return (span_table([p.x_bits for p in paulis]),
+            span_table([p.z_bits for p in paulis]))
 
 
 class StabilizerGroup:
     """Independent commuting Hermitian generators; 2^k elements, no -I."""
 
-    __slots__ = ("n", "generators", "_solver")
+    __slots__ = ("n", "generators", "_echelon")
 
     def __init__(self, generators):
         generators = tuple(generators)
-        assert generators, "need at least one generator"
+        if not generators:
+            raise ValueError("need at least one generator")
         n = generators[0].n
-        solver = _GF2Solver()
+        echelon = Echelon()
         for i, g in enumerate(generators):
-            assert g.n == n, "generators act on different qubit counts"
-            assert g.is_hermitian(), f"generator {g} is not Hermitian"
-            assert not g.is_identity(), "identity is not a generator"
-            assert solver.add(_symplectic_vec(g), 1 << i), (
-                f"generator {g} is dependent on earlier ones"
-            )
+            if g.n != n:
+                raise ValueError("generators act on different qubit counts")
+            if not g.is_hermitian():
+                raise ValueError(f"generator {g} is not Hermitian")
+            if not echelon.add(_symplectic_vec(g), 1 << i):
+                raise ValueError(f"generator {g} is dependent on earlier ones")
             for h in generators[:i]:
-                assert g.commutes(h), f"generators {g} and {h} anticommute"
+                if not g.commutes(h):
+                    raise ValueError(f"generators {g} and {h} anticommute")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "_solver", solver)
+        object.__setattr__(self, "_echelon", echelon)
 
     def __setattr__(self, name, value):
         raise AttributeError("StabilizerGroup is immutable")
@@ -106,7 +89,7 @@ class StabilizerGroup:
     def is_state_group(self) -> bool:
         return self.k == self.n
 
-    # -- exact enumeration -------------------------------------------------
+    # -- exact elements ----------------------------------------------------
 
     def element_from_mask(self, mask: int) -> PauliOperator:
         """Product of the generators selected by mask, ascending index."""
@@ -120,6 +103,7 @@ class StabilizerGroup:
 
     def enumerate_elements(self):
         """All 2^k elements, Gray-code order: one multiplication per step.
+        A test oracle; the library reads the span tables instead.
 
         Commuting generators make the incremental product order-independent,
         so phases are exact.  The identity comes first.
@@ -134,32 +118,20 @@ class StabilizerGroup:
     def is_element(self, p: PauliOperator) -> bool:
         """Sign-exact membership: the phase must match, not just (x, z)."""
         assert p.n == self.n
-        residual, combo = self._solver.reduce(_symplectic_vec(p))
+        residual, combo = self._echelon.reduce(_symplectic_vec(p))
         if residual != 0:
             return False
         return self.element_from_mask(combo) == p
 
-    def contains_up_to_sign(self, p: PauliOperator) -> bool:
-        residual, _ = self._solver.reduce(_symplectic_vec(p))
-        return residual == 0
-
     # -- vectorized mask tables ---------------------------------------------
-
-    def _mask_table(self, gens) -> tuple[np.ndarray, np.ndarray]:
-        x = np.zeros(1, dtype=np.uint64)
-        z = np.zeros(1, dtype=np.uint64)
-        for g in gens:
-            x = np.concatenate([x, x ^ np.uint64(g.x_bits)])
-            z = np.concatenate([z, z ^ np.uint64(g.z_bits)])
-        return x, z
 
     def distance(self) -> int:
         """Minimum weight over the 2^k - 1 non-identity elements."""
         k = self.k
         assert k <= STREAM_LIMIT, f"distance scan capped at 2^{STREAM_LIMIT}"
         lo_bits = min(k, _CHUNK_BITS)
-        x_lo, z_lo = self._mask_table(self.generators[:lo_bits])
-        x_hi, z_hi = self._mask_table(self.generators[lo_bits:])
+        x_lo, z_lo = mask_tables(self.generators[:lo_bits])
+        x_hi, z_hi = mask_tables(self.generators[lo_bits:])
         best = 64
         for i in range(len(x_hi)):
             w = np.bitwise_count((x_lo ^ x_hi[i]) | (z_lo ^ z_hi[i]))
@@ -177,7 +149,7 @@ class StabilizerGroup:
         assert self.k <= FULL_PROFILE_LIMIT, (
             f"full support table capped at 2^{FULL_PROFILE_LIMIT}"
         )
-        x, z = self._mask_table(self.generators)
+        x, z = mask_tables(self.generators)
         supports, counts = np.unique((x | z)[1:], return_counts=True)
         # Index 0 of the doubling table is the identity; masks repeat later
         # only for genuinely distinct elements sharing a support.
@@ -225,7 +197,7 @@ def _minimal_masks(group: StabilizerGroup) -> np.ndarray:
     before this one is built and only one 2^k table is alive at a time.
     """
     minimal = minimal_supports(group)
-    x, z = group._mask_table(group.generators)
+    x, z = mask_tables(group.generators)
     x |= z
     del z
     table = np.sort(np.array(minimal, dtype=np.uint64))
@@ -233,23 +205,18 @@ def _minimal_masks(group: StabilizerGroup) -> np.ndarray:
     return np.flatnonzero(table[pos] == x)
 
 
-def _span_basis(vectors: np.ndarray) -> list[int]:
-    """GF(2) basis of a set of bit vectors, one vectorized XOR pass per
-    basis vector: the largest vector clears its top bit from the rest."""
-    basis = []
-    while vectors.size:
-        top = vectors.max()
-        basis.append(int(top))
-        bit = 1 << (int(top).bit_length() - 1)
-        vectors = np.where(vectors & bit, vectors ^ top, vectors)
-        vectors = vectors[vectors != 0]
-    return basis
+def _minimal_basis(group: StabilizerGroup) -> tuple[int, ...]:
+    """Generator masks of a basis of the minimal subgroup M."""
+    basis = Echelon()
+    for mask in _minimal_masks(group).tolist():
+        if basis.add(mask) and basis.rank == group.k:
+            break
+    return basis.rows
 
 
 def _minimal_generators(group: StabilizerGroup) -> list[PauliOperator]:
     """Independent generators of the minimal subgroup M, signs exact."""
-    basis = _span_basis(_minimal_masks(group))
-    return [group.element_from_mask(mask) for mask in basis]
+    return [group.element_from_mask(mask) for mask in _minimal_basis(group)]
 
 
 def minimal_elements(group: StabilizerGroup) -> list[PauliOperator]:
@@ -297,31 +264,7 @@ def msc_check(group: StabilizerGroup) -> MSCResult:
 
 def s_equals_m(group: StabilizerGroup) -> bool:
     """Does the minimal-element subgroup already generate the whole group?"""
-    return len(_span_basis(_minimal_masks(group))) == group.k
-
-
-def local_elements(group: StabilizerGroup, omega_mask: int) -> list[PauliOperator]:
-    """Elements supported inside omega_mask (identity included).
-
-    Solved over GF(2): the subset products vanishing outside omega form a
-    subgroup, found as a kernel, so no full enumeration is needed.
-    """
-    outside = ((1 << group.n) - 1) & ~omega_mask
-    solver = _GF2Solver()
-    kernel_combos = []
-    for i, g in enumerate(group.generators):
-        vec = (g.x_bits & outside) | ((g.z_bits & outside) << group.n)
-        if not solver.add(vec, 1 << i):
-            _, combo = solver.reduce(vec, 1 << i)
-            kernel_combos.append(combo)
-    out = []
-    for mask in range(1 << len(kernel_combos)):
-        combo = 0
-        for j, c in enumerate(kernel_combos):
-            if (mask >> j) & 1:
-                combo ^= c
-        out.append(group.element_from_mask(combo))
-    return out
+    return len(_minimal_basis(group)) == group.k
 
 
 def is_even_code(group: StabilizerGroup) -> bool:

@@ -13,7 +13,7 @@ import numpy as np
 from graphclif import (CLIFFORD_CATALOG, IDENTITY_1Q, LocalCliffordOp,
                        PauliOperator, clifford_by_name, conjugate_stabilizer,
                        find_clifford_conjugator, is_clifford, parse_pauli,
-                       pauli_match, single_letter)
+                       pauli_match)
 from graphclif.graphs import Graph
 from graphclif.graphstates import standard_generators
 
@@ -42,7 +42,7 @@ def test_symplectic_action_matches_dense():
     paulis = {"X": X2, "Y": Y2, "Z": Z2}
     for e in CLIFFORD_CATALOG:
         for letter, dense in paulis.items():
-            img = e.conjugate(single_letter(1, 1, letter))
+            img = e.conjugate(parse_pauli(letter))
             got = e.matrix @ dense @ e.matrix.conj().T
             want = _dense_1q(img)
             assert np.allclose(got, want, atol=1e-12), (e.name, letter)

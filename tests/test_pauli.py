@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from graphclif import PauliOperator, identity, parse_pauli, single_letter
+from graphclif import PauliOperator, identity, parse_pauli
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -116,7 +116,6 @@ def test_weight_support_letters():
     assert p.support_mask == 0b1101
     assert [p.letter(q) for q in (1, 2, 3, 4)] == ["X", "I", "Z", "Y"]
     assert identity(4).weight() == 0
-    assert single_letter(3, 2, "Y") == parse_pauli("IYI")
 
 
 def test_qubit_count_limits():

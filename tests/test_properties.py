@@ -8,12 +8,13 @@ cap, and Clifford-angle logicals on the even-weight code.
 
 import numpy as np
 
+from enumeration_oracles import local_elements
 from graphclif import (CLIFFORD_CATALOG, Graph, LocalCliffordOp, PauliOperator,
                        bound_violation, canonical_form, conjugate_stabilizer,
                        distance_upper_bound, is_even_code, lc_class_key,
-                       lc_orbit, local_elements, msc_check, s_equals_m,
-                       standard_generators, support_profile,
-                       verify_proposition2)
+                       lc_orbit, msc_check, s_equals_m, standard_generators,
+                       support_profile)
+from proposition2_oracle import verify_proposition2
 
 CASES = 1000
 

@@ -48,7 +48,7 @@ def test_contains_matches_enumeration():
 
 
 def test_binary_code_rejects_dependent_rows():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         BinaryCode(4, [0b0011, 0b0101, 0b0110])
 
 
@@ -155,3 +155,10 @@ def test_even_code_flags():
     # odd-weight logical X (weight 7) sits in the plus group
     assert not is_even_code(plus)
     assert not is_even_code(zero)  # Z^n has weight 15
+
+
+def test_rm1_rejects_m_outside_3_to_5():
+    # rm1(6) would need length 64, past the 63-bit cap of BinaryCode
+    for m in (2, 6):
+        with pytest.raises(ValueError, match="3..5"):
+            rm1(m)

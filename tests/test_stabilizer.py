@@ -5,11 +5,18 @@ with legs 1-2, 2-3, 3-4, 3-5.  Their minimal structure is small enough
 to enumerate by hand, which pins the oracles here.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import graphclif
+from enumeration_oracles import local_elements
 from graphclif import (StabilizerGroup, distance_upper_bound, is_even_code,
-                       local_elements, minimal_elements, minimal_subgroup,
-                       msc_check, parse_pauli, s_equals_m, support_profile)
+                       minimal_elements, minimal_subgroup, msc_check,
+                       parse_pauli, s_equals_m, support_profile)
 from graphclif.graphs import Graph
 from graphclif.graphstates import standard_generators
 
@@ -22,11 +29,15 @@ def test_group_invariants():
     s = a4_group()
     assert s.n == 3 and s.k == 3 and s.order == 8
     assert s.is_state_group()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="dependent"):
         StabilizerGroup([parse_pauli("XX"), parse_pauli("ZZ"),
                          parse_pauli("-YY")])  # product is -I
-    with pytest.raises(AssertionError):
-        StabilizerGroup([parse_pauli("XI"), parse_pauli("ZI")])  # anticommute
+    with pytest.raises(ValueError, match="anticommute"):
+        StabilizerGroup([parse_pauli("XI"), parse_pauli("ZI")])
+    with pytest.raises(ValueError, match="Hermitian"):
+        StabilizerGroup([parse_pauli("iXI")])
+    with pytest.raises(ValueError):
+        StabilizerGroup([])
 
 
 def test_is_element_checks_sign():
@@ -36,7 +47,6 @@ def test_is_element_checks_sign():
     assert not s.is_element(parse_pauli("-XZI"))
     assert not s.is_element(parse_pauli("ZZZ"))
     assert s.is_element(parse_pauli("III"))
-    assert s.contains_up_to_sign(parse_pauli("-XZI"))
 
 
 def test_a4_minimal_structure():
@@ -111,3 +121,42 @@ def test_support_counts_match_enumeration():
         p = s.element_from_mask(mask)
         direct[p.support_mask] = direct.get(p.support_mask, 0) + 1
     assert s.support_counts() == direct
+
+
+_OPTIMIZED_SCRIPT = """
+import contextlib, io, sys
+from graphclif import (Graph, StabilizerGroup, construct_lc,
+                       generate_instance, parse_pauli)
+from graphclif.cli import main
+
+inst = generate_instance(Graph.cycle(5), seed=3)
+s = inst.s_prime
+assert __debug__ is False
+if not s.is_element(s.generators[0]):
+    sys.exit("a generator is not an element")
+construct_lc(inst.graph, s, inst.u)
+with open(sys.argv[1], "w") as f:
+    f.write(inst.to_json())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["construct-lc", "--instance", sys.argv[1]])
+if code != 0:
+    sys.exit(f"construct-lc exited {code}")
+try:
+    StabilizerGroup([parse_pauli("XX"), parse_pauli("ZZ"), parse_pauli("-YY")])
+except ValueError:
+    pass
+else:
+    sys.exit("a dependent generator set was accepted")
+"""
+
+
+def test_membership_survives_python_O(tmp_path):
+    # the generator checks must not live inside asserts, or -O leaves the
+    # membership solver empty
+    src = Path(graphclif.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT,
+         str(tmp_path / "instance.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,8 @@ import numpy as np
 from graphclif import (Graph, StabilizerGroup, apply_local, apply_pauli,
                        equal_up_to_global_phase, graph_state_vector,
                        parse_pauli, stabilizer_state_vector,
-                       standard_generators, verify_proposition2)
+                       standard_generators)
+from proposition2_oracle import verify_proposition2
 
 
 def test_graph_state_k2_is_cz_plus_plus():

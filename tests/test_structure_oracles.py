@@ -6,7 +6,8 @@ enumeration_oracles walk every group element.  Both must agree on every
 connected graph up to n = 7, on the Reed-Muller logical states for m = 3
 and 4, on a seeded sample of graphs up to n = 10, and on subgroups with
 more qubits than FULL_PROFILE_LIMIT.  is_ghz_class, a degree test, must
-agree with the canonical-form comparison.
+agree with the canonical-form comparison, and weight_two_elements, read
+off the span table, must list the pool of a Gray-code walk in its order.
 """
 
 import random
@@ -14,11 +15,12 @@ import random
 import pytest
 
 import enumeration_oracles as oracle
-from graphclif import (FULL_PROFILE_LIMIT, Graph, StabilizerGroup, build_css,
-                       generate_connected_graphs, is_ghz_class,
-                       logical_state_stabilizer, minimal_elements,
-                       minimal_subgroup, msc_check, s_equals_m,
-                       standard_generators)
+from graphclif import (CLIFFORD_CATALOG, FULL_PROFILE_LIMIT, Graph,
+                       LocalCliffordOp, StabilizerGroup, build_css,
+                       conjugate_stabilizer, generate_connected_graphs,
+                       is_ghz_class, logical_state_stabilizer,
+                       minimal_elements, minimal_subgroup, msc_check,
+                       s_equals_m, standard_generators, weight_two_elements)
 
 
 def assert_matches_oracle(group):
@@ -61,3 +63,16 @@ def test_sampled_graphs_match_enumeration():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.5]
         assert_matches_oracle(standard_generators(Graph.from_edges(n, edges)))
+
+
+def test_weight_two_pool_matches_gray_scan():
+    # generate_instance draws its phase pairs from this pool by position
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(2, 10)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4]
+        base = LocalCliffordOp([rng.choice(CLIFFORD_CATALOG) for _ in range(n)])
+        group = conjugate_stabilizer(
+            base, standard_generators(Graph.from_edges(n, edges)))
+        assert weight_two_elements(group) == oracle.weight_two_elements(group)
