@@ -24,7 +24,7 @@ def walkthrough(title, g, seed=11, pairs=2):
 
     result = construct_lc(inst.graph, inst.s_prime, inst.u)
     print(f"   K = {list(result.k.names())}")
-    print(f"   provenance: {list(result.provenance)}")
+    print(f"   provenance: {[dict(p) for p in result.provenance]}")
     ok = verify_lc(inst.graph, inst.s_prime, result.k, dense=True)
     print(f"   sign-exact + dense verification: {ok}")
     print()

@@ -23,24 +23,6 @@ from .stabilizer import distance_upper_bound, is_even_code
 GENERATOR_MAX_N = 11
 
 
-def _connected_within(adj, mask: int) -> bool:
-    """Is the induced subgraph on the mask vertices connected?"""
-    if mask == 0:
-        return True
-    seen = mask & -mask
-    while True:
-        grow = seen
-        rest = seen
-        while rest:
-            v = rest & -rest
-            grow |= adj[v.bit_length() - 1]
-            rest ^= v
-        grow &= mask
-        if grow == seen:
-            return seen == mask
-        seen = grow
-
-
 def _accept_key(h: Graph, new_v: int):
     """Colored canonical key of (h, new_v) if new_v is a canonical-deletion
     vertex, else None.
@@ -58,7 +40,7 @@ def _accept_key(h: Graph, new_v: int):
 
     def eligible(v):
         if v not in noncut:
-            noncut[v] = _connected_within(h.adj, full & ~(1 << v))
+            noncut[v] = h.is_connected_within(full & ~(1 << v))
         return noncut[v]
 
     # cheapest reject: some eligible vertex has a strictly smaller cell index

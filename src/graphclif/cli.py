@@ -6,7 +6,7 @@ stderr.  Exit codes are a stable contract:
 
     0  success / verdict true
     1  verdict false
-    2  input parse error
+    2  input parse error, or input the library rejects with ValueError
     3  capability limit (size, orbit cap)
     4  local-unitary inconsistency while constructing
     5  unsupported graph class
@@ -67,7 +67,7 @@ def _envelope(command: str, inputs: dict, results: dict, t0: float) -> str:
 
 def _parse_graph(args) -> tuple[Graph, dict]:
     try:
-        if getattr(args, "graph6", None):
+        if args.graph6 is not None:
             return from_graph6(args.graph6), {"graph6": args.graph6}
         return parse_edge_list(args.edges), {"edges": args.edges}
     except (ValueError, AssertionError, IndexError) as exc:
@@ -225,8 +225,7 @@ def _load_instance(path: str) -> LUInstance:
     try:
         with open(path) as f:
             return LUInstance.from_json(f.read())
-    except (OSError, json.JSONDecodeError, KeyError, ValueError,
-            AssertionError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseFailure(f"bad instance file: {exc}") from exc
 
 
@@ -240,7 +239,7 @@ def cmd_construct_lc(args) -> int:
             f.write(result.to_json() + "\n")
     results = {
         "k_names": list(result.k.names()),
-        "provenance": list(result.provenance),
+        "provenance": [dict(p) for p in result.provenance],
         "verified": result.verified,
     }
     print(_envelope("construct-lc", {"instance": args.instance}, results, t0))
@@ -329,9 +328,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (CapabilityError, OrbitCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
@@ -341,6 +337,11 @@ def main(argv=None) -> int:
     except UnsupportedClassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except ValueError as exc:
+        # after its subclasses Fact1Error and UnsupportedClassError;
+        # ParseFailure is one too
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

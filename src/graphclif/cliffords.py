@@ -135,13 +135,25 @@ _INVERSE = _invert_all()
 IDENTITY_1Q = CLIFFORD_CATALOG[0]
 
 
+# Signed one-qubit Paulis +P and -P per letter, with their dense forms.
+_LETTERS = (_X1, _Y1, _Z1)
+_SIGNED = tuple((p, p.negate()) for p in _LETTERS)
+_PAULI_MATRICES = np.array([p.to_matrix() for p in _LETTERS])
+_X_MATRIX, _Z_MATRIX = _PAULI_MATRICES[0], _PAULI_MATRICES[2]
+
+
 def pauli_match(matrix: np.ndarray, tol: float = 1e-9) -> PauliOperator | None:
-    """Match a 2x2 matrix to a signed one-qubit Pauli, else None."""
-    for letter, sign in ((_X1, 0), (_Y1, 0), (_Z1, 0),
-                         (_X1, 2), (_Y1, 2), (_Z1, 2)):
-        cand = PauliOperator(1, letter.x_bits, letter.z_bits, letter.phase_exp + sign)
-        if np.allclose(matrix, cand.to_matrix(), atol=tol):
-            return cand
+    """Match a 2x2 matrix to a signed one-qubit Pauli, else None.
+
+    The coefficients tr(P M)/2 on X, Y and Z name the one candidate +-P
+    that M can be close to; it is accepted only if M is allclose to it.
+    """
+    coeffs = np.einsum("pij,ji->p", _PAULI_MATRICES, matrix) / 2
+    letter = int(np.argmax(np.abs(coeffs)))
+    negative = bool(coeffs[letter].real < 0)
+    cand = -_PAULI_MATRICES[letter] if negative else _PAULI_MATRICES[letter]
+    if np.allclose(matrix, cand, atol=tol):
+        return _SIGNED[letter][negative]
     return None
 
 
@@ -151,10 +163,10 @@ def is_clifford(matrix: np.ndarray, tol: float = 1e-9) -> SingleQubitClifford | 
     Returns None when either conjugated image fails to be a signed Pauli.
     The catalog representative equals the input up to global phase.
     """
-    img_x = pauli_match(matrix @ _X1.to_matrix() @ matrix.conj().T, tol)
+    img_x = pauli_match(matrix @ _X_MATRIX @ matrix.conj().T, tol)
     if img_x is None:
         return None
-    img_z = pauli_match(matrix @ _Z1.to_matrix() @ matrix.conj().T, tol)
+    img_z = pauli_match(matrix @ _Z_MATRIX @ matrix.conj().T, tol)
     if img_z is None:
         return None
     return _BY_ACTION.get(_action_key(img_x, img_z))

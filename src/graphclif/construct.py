@@ -8,10 +8,14 @@ included.  The procedure is partition-driven:
   * V3 and V4 vertices copy U_i, snapped to the catalog (they must be
     Clifford for genuine inputs).
   * Each V2 vertex and its attached leaves form a block.  The conjugated
-    images U^dag Z U (center) and U^dag X U (leaves) are signed Paulis
-    for genuine inputs; rotating them to +Z with catalog conjugators
-    makes the dressed factors diagonal, and their product over the block
-    is the induced logical operation, which snaps to a catalog element.
+    images b = U^dag Z U (center) and U^dag X U (leaves) are signed Paulis
+    for genuine inputs.  The catalog conjugator F with F b F^dag = +Z is
+    sign-exact, so the dressed center U F^dag satisfies
+    (U F^dag)^dag Z (U F^dag) = F b F^dag = +Z: it commutes with Z and
+    is diagonal, never antidiagonal.  The dressed leaves H U F^dag are
+    diagonal for the same reason.  Their product over the block is the
+    induced logical operation, a diagonal unitary that snaps to a
+    catalog element; each leaf's factor is H o F.
   * Graphs whose orbit holds a star or complete graph can leave qubits
     unresolved (complete graphs have no leaf blocks at all); those are
     settled by a pruned search over catalog assignments.
@@ -30,10 +34,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .cliffords import (CLIFFORD_CATALOG, IDENTITY_1Q, LocalCliffordOp,
+from .cliffords import (CLIFFORD_CATALOG, LocalCliffordOp,
                         SingleQubitClifford, clifford_by_name,
                         conjugate_stabilizer, find_clifford_conjugator,
                         is_clifford, pauli_match)
@@ -42,14 +47,22 @@ from .graphstates import classify_theorem, standard_generators
 from .pauli import PauliOperator, parse_pauli
 from .stabilizer import StabilizerGroup, mask_tables
 from .states import (DENSE_LIMIT, apply_local, equal_up_to_global_phase,
-                     graph_state_vector, is_antidiagonal, is_diagonal,
+                     graph_state_vector, is_diagonal,
                      stabilizer_state_vector)
 
 FALLBACK_CAP = 8
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
-_H = clifford_by_name("H").matrix
+_H = clifford_by_name("H")
+
+# Provenance entries are read-only and shared, so a result holds only
+# references to them.
+_COPIED = MappingProxyType({"rule": "copied"})
+_SEARCH = MappingProxyType({"rule": "search"})
+_BLOCK = {(role, f.name): MappingProxyType({"rule": "block", "role": role,
+                                            "f": f.name, "branch": "diagonal"})
+          for role in ("center", "leaf") for f in CLIFFORD_CATALOG}
 
 
 class Fact1Error(ValueError):
@@ -81,27 +94,30 @@ class LUInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "LUInstance":
+        """Parse to_json's format; a malformed document raises ValueError."""
         data = json.loads(text)
-        return cls(
-            graph=from_graph6(data["graph"]),
-            s_prime=StabilizerGroup([parse_pauli(s) for s in data["s_prime"]]),
-            u=tuple(_matrix_from_json(m) for m in data["u"]),
-            trace=data.get("trace", {}),
-        )
+        try:
+            return cls(
+                graph=from_graph6(data["graph"]),
+                s_prime=StabilizerGroup([parse_pauli(s) for s in data["s_prime"]]),
+                u=tuple(_matrix_from_json(m) for m in data["u"]),
+                trace=data.get("trace", {}),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed instance: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
 class LCResult:
     k: LocalCliffordOp
     provenance: tuple
-    logical_ops: dict
     verified: bool
 
     def to_json(self) -> str:
         return json.dumps({
             "k": [{"name": f.name, "matrix": _matrix_to_json(f.matrix)}
                   for f in self.k.factors],
-            "provenance": list(self.provenance),
+            "provenance": [dict(p) for p in self.provenance],
             "verified": self.verified,
         }, sort_keys=True)
 
@@ -158,18 +174,21 @@ def _split_pair(e: PauliOperator, a: int, b: int) -> tuple:
 
 
 def generate_instance(g: Graph, seed: int, num_phase_pairs: int = 1,
-                      use_base_clifford: bool = True,
-                      certificate: bool = True) -> LUInstance:
+                      use_base_clifford: bool = True) -> LUInstance:
     """A seeded LU-equivalent pair: S' = C^dag S C and U = C o D.
 
     D stacks exp(i theta a) x exp(-i theta b) over randomly chosen
     weight-2 elements a x b of S'; each such factor fixes the state of
     S' for any angle, so U maps it to |psi_G> while the per-qubit
-    factors are generally not Clifford.
+    factors are generally not Clifford.  Every instance is certified by
+    comparing dense state vectors, so n is capped at DENSE_LIMIT.
     """
-    assert g.is_connected(), "instances are generated for connected graphs"
-    rng = random.Random(seed)
+    if not g.is_connected():
+        raise ValueError("instances are generated for connected graphs")
     n = g.n
+    if n > DENSE_LIMIT:
+        raise CapabilityError(f"the dense certificate is capped at {DENSE_LIMIT} qubits")
+    rng = random.Random(seed)
     target = standard_generators(g)
     if use_base_clifford:
         base = LocalCliffordOp([rng.choice(CLIFFORD_CATALOG) for _ in range(n)])
@@ -193,11 +212,9 @@ def generate_instance(g: Graph, seed: int, num_phase_pairs: int = 1,
             trace["pairs"].append({"element": str(e), "theta": theta})
 
     inst = LUInstance(graph=g, s_prime=s_prime, u=tuple(mats), trace=trace)
-    if certificate:
-        assert n <= DENSE_LIMIT, "dense certificate capped at 12 qubits"
-        got = apply_local(inst.u, stabilizer_state_vector(s_prime))
-        want = graph_state_vector(g)
-        assert equal_up_to_global_phase(got, want, 1e-8), "instance failed its certificate"
+    got = apply_local(inst.u, stabilizer_state_vector(s_prime))
+    if not equal_up_to_global_phase(got, graph_state_vector(g), 1e-8):
+        raise RuntimeError("instance failed its dense certificate")
     return inst
 
 
@@ -214,7 +231,8 @@ def verify_lc(g: Graph, s_prime: StabilizerGroup, k: LocalCliffordOp,
     if not all(target.is_element(p) for p in conj.generators):
         return False
     if dense:
-        assert g.n <= DENSE_LIMIT
+        if g.n > DENSE_LIMIT:
+            raise CapabilityError(f"dense verification is capped at {DENSE_LIMIT} qubits")
         got = apply_local(k.matrices(), stabilizer_state_vector(s_prime))
         if not equal_up_to_global_phase(got, graph_state_vector(g), tol):
             return False
@@ -245,14 +263,13 @@ def construct_lc(g: Graph, s_prime: StabilizerGroup, u,
     part = vertex_partition(g)
     k_factors: list = [None] * n
     prov: list = [None] * n
-    logical_ops: dict = {}
     unresolved: list = []
 
     def defer(i, why):
         if not ghz:
             raise Fact1Error(why)
         unresolved.append(i)
-        prov[i] = {"rule": "search"}
+        prov[i] = _SEARCH
 
     for i in range(n):
         if not ((part.v3 >> i) & 1 or (part.v4 >> i) & 1):
@@ -263,7 +280,7 @@ def construct_lc(g: Graph, s_prime: StabilizerGroup, u,
                      f"non-Clifford factor at vertex {i + 1}")
         else:
             k_factors[i] = snapped
-            prov[i] = {"rule": "copied"}
+            prov[i] = _COPIED
 
     for v2 in range(n):
         if not (part.v2 >> v2) & 1:
@@ -274,47 +291,31 @@ def construct_lc(g: Graph, s_prime: StabilizerGroup, u,
             raise Fact1Error("inputs are not Fact-1 consistent: "
                              f"center image at vertex {v2 + 1} is not a Pauli")
         f_center = find_clifford_conjugator(b_center)
-        u_tilde_center = u[v2] @ f_center.matrix.conj().T
-
+        # F b F^dag = +Z, sign included, so the dressed center commutes
+        # with Z; so does each dressed leaf.
+        logical = u[v2] @ f_center.matrix.conj().T
+        if not is_diagonal(logical):
+            raise Fact1Error("inputs are not Fact-1 consistent: dressed center "
+                             f"at vertex {v2 + 1} is not diagonal")
         f_leaf = {}
-        u_tilde_leaf = {}
         for w in leaves:
             b = _image_pauli(u[w], _X)
             if b is None:
                 raise Fact1Error("inputs are not Fact-1 consistent: "
                                  f"leaf image at vertex {w + 1} is not a Pauli")
             f_leaf[w] = find_clifford_conjugator(b)
-            u_tilde_leaf[w] = _H @ u[w] @ f_leaf[w].matrix.conj().T
+            logical = logical @ (_H.matrix @ u[w] @ f_leaf[w].matrix.conj().T)
 
-        if is_diagonal(u_tilde_center):
-            branch = "diagonal"
-            k_tilde_center = u_tilde_center.copy()
-            for w in leaves:
-                k_tilde_center = k_tilde_center @ u_tilde_leaf[w]
-            k_tilde_leaf = {w: IDENTITY_1Q for w in leaves}
-        elif is_antidiagonal(u_tilde_center):
-            branch = "antidiagonal"
-            k_tilde_center = u_tilde_center @ _X
-            for w in leaves:
-                k_tilde_center = k_tilde_center @ (u_tilde_leaf[w] @ _X)
-            k_tilde_leaf = {w: clifford_by_name("X") for w in leaves}
-        else:
-            raise Fact1Error("inputs are not Fact-1 consistent: dressed center "
-                             f"at vertex {v2 + 1} is neither diagonal nor antidiagonal")
-
-        logical_ops[v2] = k_tilde_center
-        snapped = is_clifford(k_tilde_center)
+        snapped = is_clifford(logical)
         if snapped is None:
             defer(v2, "inputs are not Fact-1 consistent: block logical operation "
                       f"at vertex {v2 + 1} is not Clifford")
         else:
             k_factors[v2] = snapped.compose(f_center)
-            prov[v2] = {"rule": "block", "role": "center", "f": f_center.name,
-                        "branch": branch}
+            prov[v2] = _BLOCK["center", f_center.name]
         for w in leaves:
-            k_factors[w] = clifford_by_name("H").compose(k_tilde_leaf[w]).compose(f_leaf[w])
-            prov[w] = {"rule": "block", "role": "leaf", "f": f_leaf[w].name,
-                       "branch": branch}
+            k_factors[w] = _H.compose(f_leaf[w])
+            prov[w] = _BLOCK["leaf", f_leaf[w].name]
 
     for i in range(n):
         if k_factors[i] is None and prov[i] is None:
@@ -332,8 +333,7 @@ def construct_lc(g: Graph, s_prime: StabilizerGroup, u,
     if not verify_lc(g, s_prime, k_op):
         raise Fact1Error("inputs are not Fact-1 consistent: "
                          "constructed operation failed verification")
-    return LCResult(k=k_op, provenance=tuple(prov), logical_ops=logical_ops,
-                    verified=True)
+    return LCResult(k=k_op, provenance=tuple(prov), verified=True)
 
 
 def _search_completion(g: Graph, s_prime: StabilizerGroup, k_factors, unresolved):

@@ -96,42 +96,26 @@ class Graph:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
     def is_connected(self) -> bool:
-        seen = 1
-        frontier = 1
-        full = (1 << self.n) - 1
-        while frontier:
-            nxt = 0
-            v = 0
-            while frontier >> v:
-                if (frontier >> v) & 1:
-                    nxt |= self.adj[v]
-                v += 1
-            frontier = nxt & ~seen
-            seen |= nxt
-            if seen == full:
-                return True
-        return seen == full
+        return self.is_connected_within((1 << self.n) - 1)
 
-    def is_cut_vertex(self, v: int) -> bool:
-        """Does deleting v disconnect the rest?  Isolated rests count as
-        connected; a graph on one vertex has no cut vertex."""
-        rest = ((1 << self.n) - 1) & ~(1 << v)
-        if rest == 0:
-            return False
-        start = (rest & -rest).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            u = 0
-            while frontier >> u:
-                if (frontier >> u) & 1:
-                    nxt |= self.adj[u]
-                u += 1
-            nxt &= rest
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen != rest
+    def is_connected_within(self, mask: int) -> bool:
+        """Is the subgraph induced on the mask vertices connected?  The
+        empty subgraph counts as connected."""
+        if mask == 0:
+            return True
+        adj = self.adj
+        seen = mask & -mask
+        while True:
+            grow = seen
+            rest = seen
+            while rest:
+                v = rest & -rest
+                grow |= adj[v.bit_length() - 1]
+                rest ^= v
+            grow &= mask
+            if grow == seen:
+                return seen == mask
+            seen = grow
 
     # -- derived graphs ------------------------------------------------------
 
@@ -225,9 +209,6 @@ class VertexPartition:
     v2: int
     v3: int
     v4: int
-
-    def sets(self):
-        return (self.v1, self.v2, self.v3, self.v4)
 
 
 def vertex_partition(g: Graph) -> VertexPartition:

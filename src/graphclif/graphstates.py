@@ -140,7 +140,8 @@ class TheoremClassification:
 def classify_theorem(g: Graph) -> TheoremClassification:
     """First satisfied route wins: GHZ, MainTheorem, MSC, Delta2BarMSC;
     otherwise Open."""
-    assert g.is_connected(), "classification is defined for connected graphs"
+    if not g.is_connected():
+        raise ValueError("classification is defined for connected graphs")
     msc = msc_check(standard_generators(g))
     conditions = {}
     conditions["GHZ"] = is_ghz_class(g)

@@ -122,10 +122,6 @@ class PauliOperator:
     def __hash__(self) -> int:
         return hash((self.n, self.x_bits, self.z_bits, self.phase_exp))
 
-    def key(self) -> tuple[int, int]:
-        """Phase-blind (x, z) pair, for membership tests modulo sign."""
-        return (self.x_bits, self.z_bits)
-
     # -- formatting ------------------------------------------------------
 
     def __str__(self) -> str:

@@ -11,12 +11,15 @@ The GF(2) work is gf2.py's: a code's basis is an Echelon, membership is
 a reduction against it, and the codewords are a span_table.  Words of
 C1 outside C2 are the coset C2 + anchor for any anchor in C1 minus C2, so
 coset weights come from one shifted span table, not a membership test
-per word.
+per word.  A code with more rows than its dual takes its distance from
+the dual's weights by the MacWilliams identity, so only the smaller of
+the two is ever tabulated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -53,8 +56,12 @@ class BinaryCode:
         return np.bitwise_count(self.codewords())
 
     def min_distance(self) -> int:
+        """Least nonzero weight; length + 1 for the zero code."""
+        n = self.length
+        if self.k > n - self.k:
+            return _distance_from_dual_weights(n, self.dual().weights())
         w = self.weights()
-        w[0] = self.length + 1
+        w[0] = n + 1
         return int(w.min())
 
     def parameters(self) -> tuple:
@@ -94,6 +101,19 @@ class BinaryCode:
 
     def __repr__(self):
         return f"BinaryCode{self.parameters()}"
+
+
+def _distance_from_dual_weights(n: int, dual_weights) -> int:
+    """Least i >= 1 with A_i > 0.  By MacWilliams, |C-dual| A_i is the sum
+    over weights j of B_j K_i(j), with B_j the dual's weight counts and
+    K_i(j) = sum_s (-1)^s C(j, s) C(n - j, i - s) the Krawtchouk values."""
+    counts = np.bincount(dual_weights, minlength=n + 1).tolist()
+    for i in range(1, n + 1):
+        if sum(b * sum((-1) ** s * comb(j, s) * comb(n - j, i - s)
+                       for s in range(i + 1))
+               for j, b in enumerate(counts)):
+            return i
+    return n + 1
 
 
 def rm1(m: int) -> BinaryCode:

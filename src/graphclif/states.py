@@ -97,7 +97,3 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) ->
 def is_diagonal(m: np.ndarray, tol: float = 1e-9) -> bool:
     return abs(m[0, 1]) <= tol and abs(m[1, 0]) <= tol
 
-
-def is_antidiagonal(m: np.ndarray, tol: float = 1e-9) -> bool:
-    return abs(m[0, 0]) <= tol and abs(m[1, 1]) <= tol
-

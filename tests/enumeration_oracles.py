@@ -3,9 +3,14 @@
 These walk every PauliOperator of a group, one Gray-code step at a time,
 or of a subgroup found as a GF(2) kernel.  The library answers the same
 questions with GF(2) spans over its mask table; the tests compare the two.
+The one-qubit Pauli and Clifford recognizers scan all six signed Paulis
+and all 24 catalog actions, where the library projects onto the basis.
 """
 
-from graphclif import StabilizerGroup, canonical_form, minimal_supports
+import numpy as np
+
+from graphclif import (CLIFFORD_CATALOG, StabilizerGroup, canonical_form,
+                       minimal_supports, parse_pauli)
 from graphclif.gf2 import Echelon
 from graphclif.graphs import Graph
 
@@ -84,3 +89,27 @@ def local_elements(group, omega_mask):
                 combo ^= c
         out.append(group.element_from_mask(combo))
     return out
+
+
+SIGNED_PAULIS = tuple(parse_pauli(t) for t in ("X", "Y", "Z", "-X", "-Y", "-Z"))
+
+
+def pauli_match(matrix, tol=1e-9):
+    """The first of +X, +Y, +Z, -X, -Y, -Z that matrix is allclose to."""
+    for cand in SIGNED_PAULIS:
+        if np.allclose(matrix, cand.to_matrix(), atol=tol):
+            return cand
+    return None
+
+
+def is_clifford(matrix, tol=1e-9):
+    """The catalog element whose X and Z images the matrix reproduces."""
+    x, _, z = (parse_pauli(t).to_matrix() for t in "XYZ")
+    img_x = pauli_match(matrix @ x @ matrix.conj().T, tol)
+    img_z = pauli_match(matrix @ z @ matrix.conj().T, tol)
+    if img_x is None or img_z is None:
+        return None
+    for e in CLIFFORD_CATALOG:
+        if e.img_x == img_x and e.img_z == img_z:
+            return e
+    return None

@@ -9,7 +9,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from graphclif import Graph, to_graph6
+from graphclif import Graph, LUInstance, standard_generators, to_graph6
 from graphclif.cli import main
 
 B4_EDGES = "1-2,2-3,3-4,3-5"
@@ -259,6 +259,60 @@ def test_tampered_instance_exits_4(capsys, tmp_path):
     code, _, err = run(capsys, ["construct-lc", "--instance", str(inst)])
     assert code == 4
     assert "error:" in err
+
+
+def _one_error_line(err):
+    return err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["analyze", "--edges", "1-2,3-4"], 2),  # disconnected
+    (["gen-instance", "--edges", "1-2,3-4"], 2),
+    (["gen-instance", "--graph6", to_graph6(Graph.path(13))], 3),
+])
+def test_gen_and_analyze_bad_graphs(capsys, argv, want):
+    code, out, err = run(capsys, argv)
+    assert code == want
+    assert out == "" and _one_error_line(err)
+
+
+def _non_unitary(doc):
+    doc["u"][0] = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+def _factor_short(doc):
+    doc["u"].pop()
+
+
+def _generator_short(doc):
+    doc["s_prime"].pop()
+
+
+@pytest.mark.parametrize("tamper", [_non_unitary, _factor_short,
+                                    _generator_short])
+def test_malformed_instance_exits_2(capsys, tmp_path, tamper):
+    inst = tmp_path / "inst.json"
+    run(capsys, ["gen-instance", "--edges", B4_EDGES, "--seed", "7",
+                 "--out", str(inst)])
+    doc = json.loads(inst.read_text())
+    tamper(doc)
+    inst.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["construct-lc", "--instance", str(inst)])
+    assert code == 2
+    assert out == "" and _one_error_line(err)
+
+
+def test_dense_verify_past_cap_exits_3(capsys, tmp_path):
+    g = Graph.path(13)
+    inst = tmp_path / "inst.json"
+    inst.write_text(LUInstance(graph=g, s_prime=standard_generators(g),
+                               u=(np.eye(2),) * 13, trace={}).to_json())
+    res = tmp_path / "res.json"
+    res.write_text(json.dumps({"k": [{"name": "I"}] * 13}))
+    code, out, err = run(capsys, ["verify", "--instance", str(inst),
+                                  "--result", str(res), "--dense"])
+    assert code == 3
+    assert out == "" and _one_error_line(err)
 
 
 def test_unsupported_class_exits_5(capsys, tmp_path):

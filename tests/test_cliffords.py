@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+import enumeration_oracles as oracle
 from graphclif import (CLIFFORD_CATALOG, IDENTITY_1Q, LocalCliffordOp,
                        PauliOperator, clifford_by_name, conjugate_stabilizer,
                        find_clifford_conjugator, is_clifford, parse_pauli,
@@ -102,6 +103,36 @@ def test_pauli_match_and_is_clifford():
     assert e is not None and e.name == "H"
     t = np.diag([1, np.exp(1j * np.pi / 4)])
     assert is_clifford(t) is None
+
+
+def _oracle_inputs():
+    """Catalog matrices under random global phases, the signed Paulis,
+    Haar-random unitaries, and signed Paulis and catalog matrices
+    perturbed at three scales, all drawn from one seed."""
+    rng = np.random.default_rng(8)
+    phases = np.exp(2j * np.pi * rng.random(3))
+    paulis = [p.to_matrix() for p in oracle.SIGNED_PAULIS]
+    mats = [e.matrix * ph for e in CLIFFORD_CATALOG for ph in (1, -1, 1j, *phases)]
+    mats += paulis + [p * ph for p in paulis for ph in phases]
+    for _ in range(100):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        mats.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    for scale in (1e-12, 1e-7, 1e-3):
+        for base in paulis + [e.matrix for e in CLIFFORD_CATALOG]:
+            noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            mats.append(base + scale * noise)
+    return mats
+
+
+def test_pauli_match_and_is_clifford_agree_with_scan_oracle():
+    mats = _oracle_inputs()
+    for m in mats:
+        assert pauli_match(m) == oracle.pauli_match(m)
+        assert is_clifford(m) is oracle.is_clifford(m)
+    # the set reaches both answers of both recognizers
+    assert sum(pauli_match(m) is not None for m in mats) > len(oracle.SIGNED_PAULIS)
+    assert sum(is_clifford(m) is not None for m in mats) > len(CLIFFORD_CATALOG)
+    assert any(is_clifford(m) is None for m in mats)
 
 
 def test_local_clifford_op_conjugation():

@@ -120,5 +120,5 @@ def test_classifier_satisfied_sets():
 
 
 def test_classifier_requires_connected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="connected"):
         classify_theorem(Graph.from_edges(4, [(0, 1), (2, 3)]))

@@ -1,9 +1,15 @@
 """Punctured Reed-Muller family: classical parameters, CSS invariants,
 logical states, and the weight-divisibility certificate."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import graphclif
 from graphclif import (BinaryCode, apply_pauli, build_css, css_distance,
                        is_even_code, logical_state_stabilizer, msc_check,
                        punctured_rm1, rm1, stabilizer_to_graph,
@@ -38,6 +44,43 @@ def test_dual_dimension_and_double_dual():
         assert c.dual().k == c.length - c.k
         dd = c.dual().dual()
         assert sorted(dd.codewords().tolist()) == sorted(c.codewords().tolist())
+
+
+def _tabulated_distance(code):
+    w = code.weights()
+    w[0] = code.length + 1
+    return int(w.min())
+
+
+def test_min_distance_matches_tabulation():
+    # codes with more rows than their dual take the MacWilliams path
+    codes = []
+    for m in (3, 4):
+        for c in (rm1(m), punctured_rm1(m), punctured_rm1(m).even_subcode()):
+            codes += [c, c.dual()]
+    assert any(c.k > c.length - c.k for c in codes)
+    for c in codes:
+        assert c.min_distance() == _tabulated_distance(c), c.rows
+    assert BinaryCode(5, [1, 2, 4, 8, 16]).min_distance() == 1
+
+
+_HAMMING_31_SCRIPT = """
+import resource
+from graphclif import punctured_rm1
+params = punctured_rm1(5).even_subcode().dual().parameters()
+assert params == (31, 26, 3), params
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+
+
+def test_hamming_31_distance_stays_small():
+    # tabulating all 2^26 words of the [31, 26] code peaked near 1 GB
+    src = Path(graphclif.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _HAMMING_31_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200  # peak RSS in MB
 
 
 def test_contains_matches_enumeration():

@@ -141,6 +141,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(["construct-lc", "--instance", sys.argv[1]])
 if code != 0:
     sys.exit(f"construct-lc exited {code}")
+path13 = ",".join(f"{i}-{i + 1}" for i in range(1, 13))
+for edges, want in (("1-2,3-4", 2), (path13, 3)):
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(["gen-instance", "--edges", edges])
+    if code != want:
+        sys.exit(f"gen-instance --edges {edges} exited {code}, not {want}")
 try:
     StabilizerGroup([parse_pauli("XX"), parse_pauli("ZZ"), parse_pauli("-YY")])
 except ValueError:
@@ -152,7 +158,7 @@ else:
 
 def test_membership_survives_python_O(tmp_path):
     # the generator checks must not live inside asserts, or -O leaves the
-    # membership solver empty
+    # membership solver empty; gen-instance's graph checks likewise
     src = Path(graphclif.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
