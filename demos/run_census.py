@@ -1,8 +1,8 @@
 """Censuses of LC equivalence classes for small connected graphs.
 
-Builds one representative per isomorphism class by orderly generation,
-closes each under local complementation, and tabulates class counts,
-distances, and classification tags.  The n=6 table shows the unique
+Extends the class representatives at n - 1 by one vertex in every way,
+closes each extension under local complementation, and tabulates class
+counts, distances, and classification tags.  The n=6 table shows the unique
 distance-4 class (the hexacode state), which the even-code distance cap
 accommodates while the generic cap would not.
 """
@@ -10,7 +10,7 @@ accommodates while the generic cap would not.
 from graphclif import (beyond_msc, bound_violation, msc_without_equality,
                        run_census, scan)
 
-TOP_N = 7  # n=8 adds ~12s, n=9 about five minutes; raise it if curious
+TOP_N = 7  # n=8 adds ~10s, n=9 about five minutes; raise it if curious
 
 
 def main():

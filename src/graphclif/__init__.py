@@ -14,8 +14,8 @@ from .cliffords import (CLIFFORD_CATALOG, IDENTITY_1Q, LocalCliffordOp,
                         is_clifford, pauli_match)
 from .graphs import (Graph, VertexPartition, bar_graph, from_graph6,
                      parse_edge_list, to_graph6, vertex_partition)
-from .canon import (OrbitCapExceeded, canonical_form, canonical_form_colored,
-                    canonical_graph, lc_class_key, lc_orbit)
+from .canon import (OrbitCapExceeded, canonical_form, canonical_graph,
+                    lc_class_key, lc_orbit)
 from .graphstates import (TheoremClassification, classify_theorem,
                           has_weight_two_element, is_ghz_class,
                           stabilizer_to_graph, standard_generators)
@@ -27,10 +27,9 @@ from .construct import (CapabilityError, Fact1Error, LCResult, LUInstance,
 from .rmcodes import (BinaryCode, CSSCode, build_css, css_distance,
                       logical_state_stabilizer, punctured_rm1, rm1,
                       transversal_weight_check)
-from .census import (CensusConfig, CensusReport, ClassRecord, beyond_msc,
-                     bound_violation, classify_lc_classes,
-                     generate_connected_graphs, generate_trees,
-                     msc_without_equality, run_census, scan)
+from .census import (CensusReport, ClassRecord, beyond_msc, bound_violation,
+                     classify_lc_classes, generate_connected_graphs,
+                     generate_trees, msc_without_equality, run_census, scan)
 
 __all__ = [
     "MAX_QUBITS", "PauliOperator", "identity", "parse_pauli",
@@ -43,8 +42,8 @@ __all__ = [
     "find_clifford_conjugator", "is_clifford", "pauli_match",
     "Graph", "VertexPartition", "bar_graph", "from_graph6", "parse_edge_list",
     "to_graph6", "vertex_partition",
-    "OrbitCapExceeded", "canonical_form", "canonical_form_colored",
-    "canonical_graph", "lc_class_key", "lc_orbit",
+    "OrbitCapExceeded", "canonical_form", "canonical_graph", "lc_class_key",
+    "lc_orbit",
     "TheoremClassification", "classify_theorem", "has_weight_two_element",
     "is_ghz_class", "stabilizer_to_graph", "standard_generators",
     "apply_local", "apply_pauli", "equal_up_to_global_phase",
@@ -55,8 +54,8 @@ __all__ = [
     "BinaryCode", "CSSCode", "build_css", "css_distance",
     "logical_state_stabilizer", "punctured_rm1", "rm1",
     "transversal_weight_check",
-    "CensusConfig", "CensusReport", "ClassRecord", "beyond_msc",
-    "bound_violation", "classify_lc_classes", "generate_connected_graphs",
-    "generate_trees", "msc_without_equality", "run_census", "scan",
+    "CensusReport", "ClassRecord", "beyond_msc", "bound_violation",
+    "classify_lc_classes", "generate_connected_graphs", "generate_trees",
+    "msc_without_equality", "run_census", "scan",
     "__version__",
 ]

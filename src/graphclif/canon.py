@@ -10,10 +10,6 @@ at polynomially many leaves instead of n factorial.
 
 Keys are plain integers packing the upper triangle of the relabeled
 adjacency, so comparisons, set membership, and report sorting stay cheap.
-A colored variant pins one vertex into its own initial cell; its key is
-equal for (g, v) and (h, u) exactly when an isomorphism g -> h maps v to
-u, which is what the census generator needs to accept each augmentation
-once.
 
 An orbit under repeated local complementation is closed over canonical
 keys.  Orbits can be huge, so closure honors a cap (argument, else the
@@ -78,22 +74,13 @@ def _pack(adj, order, n):
     return key
 
 
-def canonical_labeling(g: Graph, pinned: int | None = None):
-    """Returns (key, order): order[position] = original vertex.
-
-    With pinned set, that vertex is forced into a leading singleton cell,
-    which canonicalizes the rooted graph (g, pinned) instead of g.
-    """
+def canonical_labeling(g: Graph):
+    """Returns (key, order): order[position] = original vertex."""
     adj = g.adj
     n = g.n
     if n == 1:
         return 0, (0,)
-    if pinned is None:
-        cells = [list(range(n))]
-    else:
-        rest = [v for v in range(n) if v != pinned]
-        cells = [[pinned], rest]
-    cells = _refine(adj, cells)
+    cells = _refine(adj, [list(range(n))])
 
     autos: list[tuple] = []  # discovered automorphism generators
     seen_autos = set()
@@ -168,10 +155,6 @@ def canonical_form(g: Graph) -> int:
     return canonical_labeling(g)[0]
 
 
-def canonical_form_colored(g: Graph, v: int) -> int:
-    return canonical_labeling(g, pinned=v)[0]
-
-
 def canonical_graph(g: Graph) -> Graph:
     key, order = canonical_labeling(g)
     perm = [0] * g.n
@@ -185,6 +168,7 @@ def wl_cell_index(g: Graph) -> tuple[int, ...]:
 
     Vertices in the same cell may or may not be equivalent; vertices in
     different cells never are.  Cheap, and stable across isomorphs.
+    Nothing in the package calls it; bench/tracing.py wraps it by name.
     """
     cells = _refine(g.adj, [list(range(g.n))])
     out = [0] * g.n

@@ -1,20 +1,28 @@
 """Censuses of connected graphs under local complementation.
 
-Generation is orderly: a graph on k+1 vertices is kept exactly when the
-appended vertex sits in the canonical-deletion orbit, so each isomorphism
-class arrives once.  Classification buckets the stream by lc_class_key
-and analyzes one canonical representative per class, which keeps reports
-byte-identical regardless of stream order or worker count.
+Every connected graph on n vertices is LC-equivalent to a representative
+of an (n - 1)-vertex class with one vertex added (Danielsen & Parker,
+arXiv:math/0504522): delete a non-cut vertex, carry what is left to the
+representative by local complementations at old vertices, and those act
+on the old vertices as they act on the smaller graph.  So run_census
+closes the LC orbits of those extensions, level by level from the single
+vertex.  Classification buckets a stream by lc_class_key and analyzes one
+canonical representative per class, which keeps reports byte-identical
+regardless of stream order or worker count.
+
+The graph generators extend every graph of the previous level by one
+vertex too, and keep the first graph per canonical form; they hold one
+whole level in memory.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .canon import (OrbitCapExceeded, canonical_form, canonical_form_colored,
-                    canonical_graph, lc_orbit, wl_cell_index)
+from .canon import (OrbitCapExceeded, canonical_form, canonical_graph,
+                    lc_orbit)
 from .construct import CapabilityError
 from .graphs import Graph, from_graph6, to_graph6
 from .graphstates import classify_theorem, standard_generators
@@ -23,74 +31,30 @@ from .stabilizer import distance_upper_bound, is_even_code
 GENERATOR_MAX_N = 11
 
 
-def _accept_key(h: Graph, new_v: int):
-    """Colored canonical key of (h, new_v) if new_v is a canonical-deletion
-    vertex, else None.
-
-    Deletion candidates are the non-cut vertices; the canonical one
-    minimizes (equitable cell index, rooted canonical form).  The argmin
-    set is a single automorphism orbit, so acceptance is well defined.
-    """
-    n = h.n
-    full = (1 << n) - 1
-    wl = wl_cell_index(h)
-    my_sig = wl[new_v]
-
-    noncut = {new_v: True}
-
-    def eligible(v):
-        if v not in noncut:
-            noncut[v] = h.is_connected_within(full & ~(1 << v))
-        return noncut[v]
-
-    # cheapest reject: some eligible vertex has a strictly smaller cell index
-    for v in sorted(range(n), key=lambda u: wl[u]):
-        if wl[v] >= my_sig:
-            break
-        if eligible(v):
-            return None
-
-    my_key = canonical_form_colored(h, new_v)
-    for v in range(n):
-        if v != new_v and wl[v] == my_sig and eligible(v):
-            if canonical_form_colored(h, v) < my_key:
-                return None
-    return my_key
-
-
-def _children(g: Graph, leaf_only: bool):
-    """Accepted one-vertex extensions of g, deduplicated per parent."""
-    k = g.n
-    if leaf_only:
-        subsets = (1 << v for v in range(k))
-    else:
-        subsets = range(1, 1 << k)
-    seen = set()
-    out = []
-    for s in subsets:
-        rows = [row | (((s >> v) & 1) << k) for v, row in enumerate(g.adj)]
-        rows.append(s)
-        h = Graph(rows)
-        key = _accept_key(h, k)
-        if key is not None and key not in seen:
-            seen.add(key)
-            out.append(h)
-    return out
-
-
-def _generate(n: int, leaf_only: bool):
-    if not 1 <= n <= GENERATOR_MAX_N:
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"graph order must be at least 1, got {n}")
+    if n > GENERATOR_MAX_N:
         raise CapabilityError(
             f"builtin generation capped at n={GENERATOR_MAX_N}")
 
-    def rec(g):
-        if g.n == n:
-            yield g
-            return
-        for h in _children(g, leaf_only):
-            yield from rec(h)
 
-    return rec(Graph([0]))
+def _generate(n: int, leaf_only: bool):
+    _check_order(n)
+
+    def levels():
+        level = [Graph([0])]
+        for k in range(1, n):
+            masks = [1 << v for v in range(k)] if leaf_only else range(1, 1 << k)
+            kept = {}
+            for g in level:
+                for s in masks:
+                    h = g.add_vertex(s)
+                    kept.setdefault(canonical_form(h), h)
+            level = list(kept.values())
+        yield from level
+
+    return levels()
 
 
 def generate_connected_graphs(n: int):
@@ -101,16 +65,6 @@ def generate_connected_graphs(n: int):
 def generate_trees(n: int):
     """One representative per isomorphism class of trees."""
     return _generate(n, leaf_only=True)
-
-
-@dataclass
-class CensusConfig:
-    n: int
-    jobs: int = 1
-    orbit_cap: int | None = None
-
-    def __post_init__(self):
-        assert self.n >= 1 and self.jobs >= 1
 
 
 @dataclass(frozen=True)
@@ -176,53 +130,56 @@ class CensusReport:
 
 
 def _bucket_stream(graphs, n: int, orbit_cap):
-    """Map a graph stream to {class_key: (count, rep_g6, orbit_size, capped)}."""
+    """Map a graph stream to ({class_key: (rep_g6, orbit_size, capped)},
+    number of graphs seen)."""
     memo = {}
-    counts = Counter()
     reps = {}
     seen = 0
     for g in graphs:
-        assert g.n == n, "stream holds a graph of the wrong order"
+        if g.n != n:
+            raise ValueError(
+                f"stream holds a graph on {g.n} vertices, expected {n}")
         seen += 1
         k0 = canonical_form(g)
-        ck = memo.get(k0)
-        if ck is None:
-            try:
-                orbit = lc_orbit(g, cap=orbit_cap)
-                ck = min(orbit)
-                for mk in orbit:
-                    memo[mk] = ck
-                reps[ck] = (to_graph6(orbit[ck]), len(orbit), False)
-            except OrbitCapExceeded:
-                # flagged: provisional key, unknown orbit size
-                ck = k0
-                memo[k0] = ck
-                reps[ck] = (to_graph6(canonical_graph(g)), 0, True)
-        counts[ck] += 1
-    return counts, reps, seen
+        if k0 in memo:
+            continue
+        try:
+            orbit = lc_orbit(g, cap=orbit_cap)
+            ck = min(orbit)
+            for mk in orbit:
+                memo[mk] = ck
+            reps[ck] = (to_graph6(orbit[ck]), len(orbit), False)
+        except OrbitCapExceeded:
+            # flagged: provisional key, unknown orbit size
+            memo[k0] = k0
+            reps[k0] = (to_graph6(canonical_graph(g)), 0, True)
+    return reps, seen
 
 
 def _worker(args):
     g6_lines, n, orbit_cap = args
-    counts, reps, seen = _bucket_stream(
-        (from_graph6(s) for s in g6_lines), n, orbit_cap)
-    return dict(counts), reps, seen
+    return _bucket_stream((from_graph6(s) for s in g6_lines), n, orbit_cap)
 
 
-def classify_lc_classes(graphs, config: CensusConfig) -> CensusReport:
-    if config.jobs == 1:
-        counts, reps, seen = _bucket_stream(graphs, config.n, config.orbit_cap)
+def classify_lc_classes(graphs, n: int, jobs: int = 1,
+                        orbit_cap: int | None = None) -> CensusReport:
+    """LC classes of a stream of connected graphs on n vertices; jobs
+    workers take the stream round-robin."""
+    if n < 1:
+        raise ValueError(f"graph order must be at least 1, got {n}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        reps, seen = _bucket_stream(graphs, n, orbit_cap)
     else:
         import multiprocessing as mp
-        chunks = [[] for _ in range(config.jobs)]
+        chunks = [[] for _ in range(jobs)]
         for i, g in enumerate(graphs):
-            chunks[i % config.jobs].append(to_graph6(g))
-        with mp.Pool(config.jobs) as pool:
-            parts = pool.map(_worker, [(c, config.n, config.orbit_cap)
-                                       for c in chunks])
-        counts, reps, seen = Counter(), {}, 0
-        for pc, pr, ps in parts:
-            counts.update(pc)
+            chunks[i % jobs].append(to_graph6(g))
+        with mp.Pool(jobs) as pool:
+            parts = pool.map(_worker, [(c, n, orbit_cap) for c in chunks])
+        reps, seen = {}, 0
+        for pr, ps in parts:
             seen += ps
             for ck, rec in pr.items():
                 if ck in reps:
@@ -239,18 +196,26 @@ def classify_lc_classes(graphs, config: CensusConfig) -> CensusReport:
             delta=standard_generators(rep).distance(),
             msc=cls.msc.passed, s_eq_m=cls.msc.s_eq_m, tag=cls.tag,
             orbit_size=orbit_size, capped=capped))
-    return CensusReport(n=config.n, graphs_seen=seen, records=tuple(records))
+    return CensusReport(n=n, graphs_seen=seen, records=tuple(records))
 
 
 def run_census(n: int, jobs: int = 1, orbit_cap: int | None = None) -> CensusReport:
-    """Full builtin census; checks the orbit sizes tile the whole stream."""
-    config = CensusConfig(n=n, jobs=jobs, orbit_cap=orbit_cap)
-    report = classify_lc_classes(generate_connected_graphs(n), config)
-    if not any(r.capped for r in report.records):
-        covered = sum(r.orbit_size for r in report.records)
-        assert covered == report.graphs_seen, (
-            "orbit closure does not tile the census stream")
-    return report
+    """LC classes of all connected graphs on n vertices.
+
+    Each level classifies the one-vertex extensions of the previous
+    level's representatives.  graphs_seen is the sum of the orbit sizes:
+    every connected graph once, unless an orbit hit the cap (a capped
+    class counts 0).
+    """
+    _check_order(n)
+    report = classify_lc_classes([Graph([0])], 1, jobs, orbit_cap)
+    for k in range(1, n):
+        reps = [from_graph6(r.rep_g6) for r in report.records]
+        report = classify_lc_classes(
+            (rep.add_vertex(s) for rep in reps for s in range(1, 1 << k)),
+            k + 1, jobs, orbit_cap)
+    return replace(report,
+                   graphs_seen=sum(r.orbit_size for r in report.records))
 
 
 # -- scanning ---------------------------------------------------------------

@@ -209,10 +209,6 @@ class LocalCliffordOp:
     def identity(cls, n: int) -> "LocalCliffordOp":
         return cls([IDENTITY_1Q] * n)
 
-    @classmethod
-    def from_names(cls, names) -> "LocalCliffordOp":
-        return cls([_BY_NAME[name] for name in names])
-
     @property
     def n(self) -> int:
         return len(self.factors)

@@ -26,13 +26,17 @@ class Graph:
     def __init__(self, adj):
         adj = tuple(adj)
         n = len(adj)
-        assert 1 <= n <= MAX_VERTICES, f"vertex count {n} outside 1..{MAX_VERTICES}"
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
         for v, row in enumerate(adj):
-            assert 0 <= row < (1 << n), "adjacency row exceeds vertex count"
-            assert not (row >> v) & 1, "self-loops are not allowed"
+            if not 0 <= row < (1 << n):
+                raise ValueError("adjacency row exceeds vertex count")
+            if (row >> v) & 1:
+                raise ValueError("self-loops are not allowed")
         for v in range(n):
             for u in range(v):
-                assert ((adj[u] >> v) & 1) == ((adj[v] >> u) & 1), "asymmetric adjacency"
+                if ((adj[u] >> v) & 1) != ((adj[v] >> u) & 1):
+                    raise ValueError("asymmetric adjacency")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
@@ -45,7 +49,8 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
-            assert 0 <= u < n and 0 <= v < n and u != v, f"bad edge ({u}, {v})"
+            if not (0 <= u < n and 0 <= v < n and u != v):
+                raise ValueError(f"bad edge ({u}, {v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(rows)
@@ -74,9 +79,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -96,15 +98,9 @@ class Graph:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
     def is_connected(self) -> bool:
-        return self.is_connected_within((1 << self.n) - 1)
-
-    def is_connected_within(self, mask: int) -> bool:
-        """Is the subgraph induced on the mask vertices connected?  The
-        empty subgraph counts as connected."""
-        if mask == 0:
-            return True
         adj = self.adj
-        seen = mask & -mask
+        full = (1 << self.n) - 1
+        seen = 1
         while True:
             grow = seen
             rest = seen
@@ -112,9 +108,8 @@ class Graph:
                 v = rest & -rest
                 grow |= adj[v.bit_length() - 1]
                 rest ^= v
-            grow &= mask
             if grow == seen:
-                return seen == mask
+                return seen == full
             seen = grow
 
     # -- derived graphs ------------------------------------------------------
@@ -135,7 +130,6 @@ class Graph:
 
     def add_vertex(self, nbr_mask: int) -> "Graph":
         n = self.n
-        assert 0 <= nbr_mask < (1 << n)
         rows = [row | (((nbr_mask >> v) & 1) << n) for v, row in enumerate(self.adj)]
         rows.append(nbr_mask)
         return Graph(rows)

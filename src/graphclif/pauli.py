@@ -43,9 +43,11 @@ class PauliOperator:
     __slots__ = ("n", "x_bits", "z_bits", "phase_exp")
 
     def __init__(self, n: int, x_bits: int, z_bits: int, phase_exp: int = 0):
-        assert 1 <= n <= MAX_QUBITS, f"qubit count {n} outside 1..{MAX_QUBITS}"
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"qubit count {n} outside 1..{MAX_QUBITS}")
         mask = (1 << n) - 1
-        assert 0 <= x_bits <= mask and 0 <= z_bits <= mask, "mask exceeds qubit count"
+        if not (0 <= x_bits <= mask and 0 <= z_bits <= mask):
+            raise ValueError("mask exceeds qubit count")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "x_bits", x_bits)
         object.__setattr__(self, "z_bits", z_bits)

@@ -12,8 +12,7 @@ import random
 import pytest
 
 from graphclif import (Graph, OrbitCapExceeded, canonical_form,
-                       canonical_form_colored, canonical_graph, lc_class_key,
-                       lc_orbit)
+                       canonical_graph, lc_class_key, lc_orbit)
 
 
 def all_labeled(n):
@@ -59,13 +58,6 @@ def test_canonical_graph_is_fixed_point():
     c = canonical_graph(g)
     assert canonical_form(c) == canonical_form(g)
     assert canonical_graph(c) == c
-
-
-def test_colored_form_separates_roots():
-    # path 1-2-3: the end and middle vertices are different roots
-    p3 = Graph.path(3)
-    assert canonical_form_colored(p3, 0) == canonical_form_colored(p3, 2)
-    assert canonical_form_colored(p3, 0) != canonical_form_colored(p3, 1)
 
 
 def test_star_orbit_is_star_and_complete():

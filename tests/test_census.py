@@ -1,14 +1,15 @@
-"""Orderly generation and LC-class census: counts against brute force,
-determinism across worker counts, scan predicates, and cap handling."""
+"""Graph generation and LC-class census: counts against brute force, the
+extension census against the full stream, determinism across worker
+counts, scan predicates, and cap handling."""
 
 import json
 from itertools import combinations
 
 import pytest
 
-from graphclif import (CapabilityError, CensusConfig, Graph, beyond_msc,
-                       bound_violation, canonical_form, classify_lc_classes,
-                       from_graph6, generate_connected_graphs, generate_trees,
+from graphclif import (CapabilityError, Graph, beyond_msc, bound_violation,
+                       canonical_form, classify_lc_classes, from_graph6,
+                       generate_connected_graphs, generate_trees,
                        msc_without_equality, run_census, scan)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -68,6 +69,14 @@ def test_class_counts_small():
         assert sum(r.orbit_size for r in report.records) == report.graphs_seen
 
 
+def test_extension_census_matches_full_stream():
+    # the census classifies one-vertex extensions of the class
+    # representatives; classifying every connected graph must agree
+    for n in range(2, 8):
+        full = classify_lc_classes(generate_connected_graphs(n), n)
+        assert run_census(n).to_json() == full.to_json()
+
+
 def test_jobs_determinism():
     lone = run_census(6, jobs=1)
     pair = run_census(6, jobs=2)
@@ -103,7 +112,7 @@ def test_duplicate_stream_collapses_at_class_layer():
     c5 = Graph.cycle(5)
     relabeled = c5.relabel((2, 0, 3, 1, 4))
     graphs = [c5, relabeled, Graph.star(5)]
-    report = classify_lc_classes(graphs, CensusConfig(n=5))
+    report = classify_lc_classes(graphs, 5)
     assert report.graphs_seen == 3
     assert report.class_count == 2
 
@@ -138,10 +147,22 @@ def test_summary_table_mentions_each_class():
 
 
 def test_wrong_order_stream_asserts():
-    with pytest.raises(AssertionError):
-        classify_lc_classes([Graph.star(4)], CensusConfig(n=5))
+    with pytest.raises(ValueError):
+        classify_lc_classes([Graph.star(4)], 5)
+
+
+def test_bad_counts_raise_value_error():
+    with pytest.raises(ValueError):
+        classify_lc_classes([Graph.star(4)], 0)
+    with pytest.raises(ValueError):
+        classify_lc_classes([Graph.star(4)], 4, jobs=0)
+    for make in (generate_connected_graphs, generate_trees, run_census):
+        with pytest.raises(ValueError):
+            make(0)
 
 
 def test_generator_cap_is_a_capability_error():
-    with pytest.raises(CapabilityError):
-        generate_connected_graphs(12)
+    # raised at call time, before any level is built
+    for make in (generate_connected_graphs, generate_trees, run_census):
+        with pytest.raises(CapabilityError):
+            make(12)

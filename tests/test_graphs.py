@@ -11,9 +11,9 @@ def b4():
 
 
 def test_constructor_validates():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Graph([0b10, 0b00])  # asymmetric
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Graph([0b01])  # self loop
 
 

@@ -119,7 +119,7 @@ def test_weight_support_letters():
 
 
 def test_qubit_count_limits():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         PauliOperator(64, 0, 0, 0)
     p = PauliOperator(63, (1 << 63) - 1, 0, 0)
     assert p.weight() == 63

@@ -109,7 +109,7 @@ def test_local_element_uniqueness():
             g = _random_tree(rng, int(rng.integers(4, 11)))
         s = standard_generators(g)
         for v in range(g.n):
-            nbrs = [u for u in range(g.n) if (g.neighbors_mask(v) >> u) & 1]
+            nbrs = [u for u in range(g.n) if (g.adj[v] >> u) & 1]
             if any(g.degree(u) == 1 for u in nbrs):
                 continue
             clean = True
@@ -117,13 +117,13 @@ def test_local_element_uniqueness():
                 for b in nbrs[i + 1:]:
                     if g.has_edge(a, b):
                         clean = False  # triangle through v
-                    joint = g.neighbors_mask(a) & g.neighbors_mask(b)
+                    joint = g.adj[a] & g.adj[b]
                     if joint & ~(1 << v):
                         clean = False  # four-cycle through v
             if not clean:
                 continue
             hits += 1
-            omega = g.neighbors_mask(v) | (1 << v)
+            omega = g.adj[v] | (1 << v)
             elems = local_elements(s, omega)
             got = sorted(str(e) for e in elems)
             want = sorted([str(PauliOperator(g.n, 0, 0, 0)),

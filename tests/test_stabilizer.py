@@ -125,7 +125,7 @@ def test_support_counts_match_enumeration():
 
 _OPTIMIZED_SCRIPT = """
 import contextlib, io, sys
-from graphclif import (Graph, StabilizerGroup, construct_lc,
+from graphclif import (Graph, PauliOperator, StabilizerGroup, construct_lc,
                        generate_instance, parse_pauli)
 from graphclif.cli import main
 
@@ -153,12 +153,21 @@ except ValueError:
     pass
 else:
     sys.exit("a dependent generator set was accepted")
+for build in (lambda: Graph([3, 0]), lambda: Graph.from_edges(2, [(0, 0)]),
+              lambda: PauliOperator(2, 8, 0)):
+    try:
+        bad = build()
+    except ValueError:
+        pass
+    else:
+        sys.exit(f"{bad!r} was accepted")
 """
 
 
 def test_membership_survives_python_O(tmp_path):
     # the generator checks must not live inside asserts, or -O leaves the
-    # membership solver empty; gen-instance's graph checks likewise
+    # membership solver empty; gen-instance's graph checks and the Graph
+    # and PauliOperator constructors likewise
     src = Path(graphclif.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
