@@ -5,11 +5,7 @@ CSS pair (C2, C1-perp) encodes one qubit.  Both logical basis states are
 stabilizer states, so the toolkit's support analysis applies verbatim:
 we derive their graphs, distances, and MSC verdicts, and check the
 weight-divisibility condition behind the transversal non-Clifford gate.
-
-m=5 distance checks stream 2^31 elements; pass --with-m5 to include them.
 """
-
-import argparse
 
 from graphclif import (build_css, css_distance, logical_state_stabilizer,
                        msc_check, punctured_rm1, stabilizer_to_graph,
@@ -23,16 +19,14 @@ def classical_table(m):
           f"C2-dual = {c2.dual().parameters()} (Hamming)")
 
 
-def quantum_report(m, with_distance=True):
+def quantum_report(m):
     css = build_css(m)
     d = css_distance(css) if css.n <= 15 else None
     print(f"   CSS: [[{css.n}, {css.k}, {d if d else '?'}]]  "
           f"({len(css.x_rows)} X rows, {len(css.z_rows)} Z rows)")
     for choice in ("zero", "plus"):
         s = logical_state_stabilizer(css, choice)
-        parts = [f"logical {choice:<4}"]
-        if with_distance:
-            parts.append(f"delta={s.distance()}")
+        parts = [f"logical {choice:<4}", f"delta={s.distance()}"]
         if s.n <= 20:
             res = msc_check(s)
             letters = sorted({"".join(sorted(l)) for l in res.letters})
@@ -43,25 +37,12 @@ def quantum_report(m, with_distance=True):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--with-m5", action="store_true",
-                    help="also stream the two 2^31 distance checks (~1 min)")
-    args = ap.parse_args()
-
-    for m in (3, 4):
+    for m in (3, 4, 5):
         print(f"== m = {m}")
         classical_table(m)
         quantum_report(m)
         print(f"   transversal weight check: {transversal_weight_check(m)}")
         print()
-
-    print("== m = 5")
-    classical_table(5)
-    quantum_report(5, with_distance=args.with_m5)
-    print(f"   transversal weight check: {transversal_weight_check(5)}")
-    if not args.with_m5:
-        print("   (distances skipped; rerun with --with-m5)")
-    print()
     print("m=3 is the Steane code: its logical states sit inside the MSC.")
     print("For m >= 4 both logical graphs fail the MSC with letter set {Z},")
     print("matching the distance split delta(zero)=3, delta(plus)=4.")

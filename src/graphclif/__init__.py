@@ -4,10 +4,10 @@ constructive conversion of local-unitary equivalences to local-Clifford form."""
 __version__ = "0.1.0"
 
 from .pauli import MAX_QUBITS, PauliOperator, identity, parse_pauli
-from .stabilizer import (FULL_PROFILE_LIMIT, STREAM_LIMIT, MSCResult,
-                         StabilizerGroup, distance_upper_bound, is_even_code,
-                         minimal_elements, minimal_subgroup, minimal_supports,
-                         msc_check, s_equals_m, support_profile)
+from .stabilizer import (FULL_PROFILE_LIMIT, MSCResult, StabilizerGroup,
+                         distance_upper_bound, is_even_code, minimal_elements,
+                         minimal_subgroup, minimal_supports, msc_check,
+                         s_equals_m, support_profile)
 from .cliffords import (CLIFFORD_CATALOG, IDENTITY_1Q, LocalCliffordOp,
                         SingleQubitClifford, clifford_by_name,
                         conjugate_stabilizer, find_clifford_conjugator,
@@ -33,7 +33,7 @@ from .census import (CensusReport, ClassRecord, beyond_msc, bound_violation,
 
 __all__ = [
     "MAX_QUBITS", "PauliOperator", "identity", "parse_pauli",
-    "FULL_PROFILE_LIMIT", "STREAM_LIMIT", "MSCResult", "StabilizerGroup",
+    "FULL_PROFILE_LIMIT", "MSCResult", "StabilizerGroup",
     "distance_upper_bound", "is_even_code", "minimal_elements",
     "minimal_subgroup", "minimal_supports", "msc_check", "s_equals_m",
     "support_profile",

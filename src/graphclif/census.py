@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from .canon import (OrbitCapExceeded, canonical_form, canonical_graph,
                     lc_orbit)
-from .construct import CapabilityError
+from .errors import CapabilityError
 from .graphs import Graph, from_graph6, to_graph6
 from .graphstates import classify_theorem, standard_generators
 from .stabilizer import distance_upper_bound, is_even_code

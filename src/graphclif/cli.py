@@ -35,8 +35,7 @@ from .graphstates import (classify_theorem, stabilizer_to_graph,
                           standard_generators)
 from .rmcodes import (build_css, css_distance, logical_state_stabilizer,
                       punctured_rm1, transversal_weight_check)
-from .stabilizer import (FULL_PROFILE_LIMIT, STREAM_LIMIT, is_even_code,
-                         msc_check)
+from .stabilizer import FULL_PROFILE_LIMIT, is_even_code, msc_check
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -166,7 +165,6 @@ def cmd_rm(args) -> int:
     css = build_css(m)
     state = logical_state_stabilizer(css, args.state)
 
-    delta = state.distance() if state.n <= STREAM_LIMIT else None
     msc = letters = None
     if state.n <= FULL_PROFILE_LIMIT:
         res = msc_check(state)
@@ -188,7 +186,7 @@ def cmd_rm(args) -> int:
         },
         "state": {
             "choice": args.state,
-            "delta": delta,
+            "delta": state.distance(),
             "msc": msc,
             "letters": letters,
             "graph6": to_graph6(g),

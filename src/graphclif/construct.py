@@ -42,6 +42,7 @@ from .cliffords import (CLIFFORD_CATALOG, LocalCliffordOp,
                         SingleQubitClifford, clifford_by_name,
                         conjugate_stabilizer, find_clifford_conjugator,
                         is_clifford, pauli_match)
+from .errors import CapabilityError
 from .graphs import Graph, from_graph6, to_graph6, vertex_partition
 from .graphstates import classify_theorem, standard_generators
 from .pauli import PauliOperator, parse_pauli
@@ -71,10 +72,6 @@ class Fact1Error(ValueError):
 
 class UnsupportedClassError(ValueError):
     """The graph falls outside the classes any theorem covers."""
-
-
-class CapabilityError(RuntimeError):
-    """Structurally fine input beyond a configured size limit."""
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,8 @@ class Echelon:
 def span_table(rows) -> np.ndarray:
     """All 2^k XOR combinations of k row masks (each below 2^64); index i
     combines the rows picked by the bits of i, so index 0 is zero."""
-    table = np.zeros(1, dtype=np.uint64)
-    for r in rows:
-        table = np.concatenate([table, table ^ np.uint64(r)])
+    rows = list(rows)
+    table = np.zeros(1 << len(rows), dtype=np.uint64)
+    for i, r in enumerate(rows):
+        np.bitwise_xor(table[:1 << i], np.uint64(r), out=table[1 << i:2 << i])
     return table

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import CapabilityError
+
 MAX_VERTICES = 63
 
 
@@ -61,12 +63,14 @@ class Graph:
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
-        assert n >= 3
+        if n < 3:
+            raise ValueError(f"a cycle needs at least 3 vertices, not {n}")
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
     @classmethod
     def star(cls, n: int) -> "Graph":
-        assert n >= 2
+        if n < 2:
+            raise ValueError(f"a star needs at least 2 vertices, not {n}")
         return cls.from_edges(n, [(0, i) for i in range(1, n)])
 
     @classmethod
@@ -275,7 +279,8 @@ def to_graph6(g: Graph) -> str:
     """graph6 text for n <= 62: header byte n+63, then the upper triangle
     in column order, 6 bits per printable byte, zero padded."""
     n = g.n
-    assert n <= 62, "single-byte graph6 header only"
+    if n > 62:
+        raise CapabilityError(f"graph6 output is capped at 62 vertices, not {n}")
     bits = []
     for v in range(1, n):
         for u in range(v):

@@ -51,7 +51,8 @@ def stabilizer_to_graph(s: StabilizerGroup) -> tuple[Graph, LocalCliffordOp]:
     there strictly grows the rank.  S gates clear the diagonal, Pauli
     conjugations fix the signs.
     """
-    assert s.is_state_group(), "need n independent generators on n qubits"
+    if not s.is_state_group():
+        raise ValueError("need n independent generators on n qubits")
     n = s.n
     rows = list(s.generators)
     op = LocalCliffordOp.identity(n)

@@ -16,7 +16,7 @@ phase_exp congruent to popcount(x_bits & z_bits) mod 2.
 
 Only one rule is needed for products: moving Z(a) past X(b) costs a sign
 (-1) per overlapping qubit, i.e. 2 * popcount(a & b) added to phase_exp.
-Everything downstream (group membership, distance scans, conjugation by
+Everything downstream (group membership, support tables, conjugation by
 local Cliffords) reduces to XORs and popcounts on machine words, which is
 why n is capped at 63.
 """
@@ -59,7 +59,8 @@ class PauliOperator:
     # -- algebra ---------------------------------------------------------
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        assert self.n == other.n, "qubit counts differ"
+        if self.n != other.n:
+            raise ValueError(f"qubit counts differ: {self.n} and {other.n}")
         phase = (
             self.phase_exp
             + other.phase_exp
@@ -70,7 +71,8 @@ class PauliOperator:
         )
 
     def commutes(self, other: "PauliOperator") -> bool:
-        assert self.n == other.n, "qubit counts differ"
+        if self.n != other.n:
+            raise ValueError(f"qubit counts differ: {self.n} and {other.n}")
         anti = (self.x_bits & other.z_bits).bit_count() + (
             self.z_bits & other.x_bits
         ).bit_count()

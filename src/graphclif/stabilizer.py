@@ -9,20 +9,21 @@ elements) are first-class citizens here.
 All linear algebra goes through gf2.py.  An Echelon over the generators'
 symplectic vectors decides membership, and element_from_mask turns a
 generator mask into its element with the exact phase.  The phase-blind
-bulk questions (distance, support multiplicities, minimal supports) read
+bulk questions (support multiplicities, minimal supports) read
 mask_tables, one gf2.span_table over the x masks and one over the z
 masks: index i of both tables is the element picked by generator mask i.
-distance splits the generators and streams 2^high chunks of 2^low
-elements, so order 2^31 scans stay in fixed memory.  enumerate_elements
-still walks the whole group one PauliOperator at a time, as a test
-oracle.
+distance on a state group needs no table: local Cliffords keep supports,
+so it reduces the group to graph form, where the element over a vertex
+set A weighs at least |A|, and scans vertex sets by size until that
+bound meets the best weight found.  enumerate_elements still walks the
+whole group one PauliOperator at a time, as a test oracle.
 
 The minimal-support structure is linear algebra over those tables.  The
-minimal elements are the indices whose support is minimal, the minimal
-subgroup M is spanned by an Echelon basis of those indices (made exact
-through element_from_mask), the letters of M at a qubit are the nonzero
-span of the basis's (x, z) pairs there, and S = M exactly when
-rank M = k.
+minimal supports come from a subset transform over the supports present,
+the minimal subgroup M is spanned by an Echelon basis of the minimal
+elements (made exact through element_from_mask), the letters of M at a
+qubit are the nonzero span of the basis's (x, z) pairs there, and S = M
+exactly when rank M = k.
 """
 
 from __future__ import annotations
@@ -31,16 +32,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapabilityError
 from .gf2 import Echelon, span_table
 from .pauli import PauliOperator, identity
 
-FULL_PROFILE_LIMIT = 20  # full in-memory support tables up to 2^20 elements
-STREAM_LIMIT = 31  # distance-only scans up to 2^31 elements
-_CHUNK_BITS = 20
+FULL_PROFILE_LIMIT = 20  # full in-memory support tables up to 2^20 entries
 
 
 def _symplectic_vec(p: PauliOperator) -> int:
     return p.x_bits | (p.z_bits << p.n)
+
+
+def _check_table(bits: int, what: str) -> None:
+    if bits > FULL_PROFILE_LIMIT:
+        raise CapabilityError(
+            f"{what} needs a table of 2^{bits} entries "
+            f"(capped at 2^{FULL_PROFILE_LIMIT})")
+
+
+def _graph_form(generators, n: int) -> list[tuple[int, int]]:
+    """(x, z) rows of a graph form of a state group, phases dropped: after
+    Hadamards on some qubits, row v has x = 1 << v.
+
+    Vectors put x above z, so the rows of an Echelon with no x part come
+    last.  Such a pure-Z row has a bit off the x pivots (else it would
+    anticommute with a pivot row), and swapping x and z there, which is a
+    Hadamard, grows the rank of the X block.
+    """
+    rows = [(g.x_bits << n) | g.z_bits for g in generators]
+    while True:
+        basis = Echelon()
+        for r in rows:
+            basis.add(r)
+        rows = basis.rows
+        if rows[-1] >> n:
+            return [(1 << v, basis.reduce(1 << (n + v))[0]) for v in range(n)]
+        pivots = sum(1 << (r.bit_length() - 1 - n) for r in rows if r >> n)
+        free = rows[-1] & ~pivots
+        swap = (free & -free) * ((1 << n) + 1)
+        rows = [r ^ swap if (r & swap) not in (0, swap) else r for r in rows]
 
 
 def mask_tables(paulis) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +147,9 @@ class StabilizerGroup:
 
     def is_element(self, p: PauliOperator) -> bool:
         """Sign-exact membership: the phase must match, not just (x, z)."""
-        assert p.n == self.n
+        if p.n != self.n:
+            raise ValueError(f"{p.n}-qubit operator tested against a "
+                             f"{self.n}-qubit group")
         residual, combo = self._echelon.reduce(_symplectic_vec(p))
         if residual != 0:
             return False
@@ -126,29 +158,34 @@ class StabilizerGroup:
     # -- vectorized mask tables ---------------------------------------------
 
     def distance(self) -> int:
-        """Minimum weight over the 2^k - 1 non-identity elements."""
-        k = self.k
-        assert k <= STREAM_LIMIT, f"distance scan capped at 2^{STREAM_LIMIT}"
-        lo_bits = min(k, _CHUNK_BITS)
-        x_lo, z_lo = mask_tables(self.generators[:lo_bits])
-        x_hi, z_hi = mask_tables(self.generators[lo_bits:])
-        best = 64
-        for i in range(len(x_hi)):
-            w = np.bitwise_count((x_lo ^ x_hi[i]) | (z_lo ^ z_hi[i]))
-            if i == 0:
-                w[0] = 64  # skip the identity
-            m = int(w.min())
-            if m < best:
-                best = m
-                if best == 1:
-                    break
+        """Minimum weight over the 2^k - 1 non-identity elements.
+
+        On a state group, the element over vertex set A of the graph form
+        has support A | (XOR of the z rows over A), so weight >= |A|; the
+        sets are scanned by size until the size reaches the best weight,
+        at a cost that grows as C(n, distance - 1).  Smaller groups scan
+        their 2^k elements.
+        """
+        if not self.is_state_group():
+            _check_table(self.k, "distance of a subgroup")
+            x, z = mask_tables(self.generators)
+            return int(np.bitwise_count((x | z)[1:]).min())
+        rows = np.array(_graph_form(self.generators, self.n), dtype=np.uint64)
+        # the sets of one size as (x, z) pairs, ordered by top vertex: the
+        # first below[v] of them lie below v and extend by it
+        level, below, best = rows, np.arange(self.n), self.n
+        for size in range(1, self.n):
+            best = min(best, int(np.bitwise_count(level[:, 0] | level[:, 1]).min()))
+            if size + 1 >= best:
+                break
+            blocks = [level[:b] ^ rows[v] for v, b in enumerate(below)]
+            below = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+            level = np.concatenate(blocks)
         return best
 
     def support_counts(self) -> dict[int, int]:
         """A_omega: how many non-identity elements have each exact support."""
-        assert self.k <= FULL_PROFILE_LIMIT, (
-            f"full support table capped at 2^{FULL_PROFILE_LIMIT}"
-        )
+        _check_table(self.k, "the support table")
         x, z = mask_tables(self.generators)
         supports, counts = np.unique((x | z)[1:], return_counts=True)
         # Index 0 of the doubling table is the identity; masks repeat later
@@ -160,19 +197,58 @@ class StabilizerGroup:
         return out
 
 
+def _bit_column(words, j: int) -> int:
+    """Bit j of every word, as a mask over the words."""
+    return sum(((w >> j) & 1) << i for i, w in enumerate(words))
+
+
+def _minimal_table(group: StabilizerGroup):
+    """(classes, support, minimal): qubit masks of the classes of qubits
+    that the same elements touch, the support of every element as a mask
+    over those classes (indexed by generator mask), and for every such
+    mask whether it is a support with no present proper subset.
+
+    An element touches qubit j unless its generator mask is orthogonal to
+    both columns x_j and z_j, so their span fixes the class.  One
+    superset-OR pass per class over the presence table of the supports
+    marks those with a present support below them.
+    """
+    xs = [g.x_bits for g in group.generators]
+    zs = [g.z_bits for g in group.generators]
+    cols = [(_bit_column(xs, j), _bit_column(zs, j)) for j in range(group.n)]
+    spans: dict[frozenset, int] = {}
+    for j, (cx, cz) in enumerate(cols):
+        span = frozenset((cx, cz, cx ^ cz)) - {0}
+        if span:
+            spans[span] = spans.get(span, 0) | 1 << j
+    classes = list(spans.values())
+    _check_table(max(group.k, len(classes)), "the support table")
+    # a generator's x and z masks over the classes (read at each class's
+    # first qubit, at most FULL_PROFILE_LIMIT bits) share one 64-bit word,
+    # and OR-ing the halves of its span in place leaves the supports
+    first_x, first_z = zip(*(cols[(c & -c).bit_length() - 1] for c in classes))
+    words = span_table([_bit_column(first_x, i) | _bit_column(first_z, i) << 32
+                        for i in range(group.k)])
+    halves = words.view(np.uint32).reshape(-1, 2)
+    support = np.bitwise_or(halves[:, 0], halves[:, 1], out=halves[:, 0])
+    present = np.zeros(1 << len(classes), dtype=bool)
+    present[support[1:]] = True
+    above = np.zeros_like(present)
+    for i in range(len(classes)):
+        p, a = (t.reshape(-1, 2, 1 << i) for t in (present, above))
+        a[:, 1] |= a[:, 0] | p[:, 0]
+    return classes, support, present & ~above
+
+
 def minimal_supports(group: StabilizerGroup) -> tuple[int, ...]:
     """Supports of non-identity elements with no proper sub-support present.
 
     Sorted by (weight, mask) so downstream reports are reproducible.
     """
-    counts = group.support_counts()
-    order = sorted(counts, key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for omega in order:
-        if any(mu & omega == mu for mu in kept):
-            continue
-        kept.append(omega)
-    return tuple(kept)
+    classes, _, minimal = _minimal_table(group)
+    supports = [sum(c for i, c in enumerate(classes) if (mask >> i) & 1)
+                for mask in np.flatnonzero(minimal).tolist()]
+    return tuple(sorted(supports, key=lambda m: (m.bit_count(), m)))
 
 
 @dataclass(frozen=True)
@@ -190,19 +266,9 @@ def support_profile(group: StabilizerGroup) -> SupportProfile:
 
 
 def _minimal_masks(group: StabilizerGroup) -> np.ndarray:
-    """Generator masks of the minimal elements, ascending: the table
-    indices whose support a binary search finds among the minimal ones.
-
-    The minimal supports are found first, so their own table is freed
-    before this one is built and only one 2^k table is alive at a time.
-    """
-    minimal = minimal_supports(group)
-    x, z = mask_tables(group.generators)
-    x |= z
-    del z
-    table = np.sort(np.array(minimal, dtype=np.uint64))
-    pos = np.searchsorted(table, x) % len(table)
-    return np.flatnonzero(table[pos] == x)
+    """Generator masks of the minimal elements, ascending."""
+    _, support, minimal = _minimal_table(group)
+    return np.flatnonzero(minimal[support])
 
 
 def _minimal_basis(group: StabilizerGroup) -> tuple[int, ...]:
@@ -283,7 +349,8 @@ def distance_upper_bound(n: int, even_code: bool = False) -> int:
     Otherwise 2*floor(n/6)+1 when n = 0 mod 6, +3 when n = 5 mod 6,
     and +2 for the remaining residues.
     """
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"no stabilizer state on {n} qubits")
     if even_code:
         return 2 * (n // 6) + 2
     r = n % 6

@@ -1,18 +1,48 @@
 """Enumeration-based structure oracles.
 
 These walk every PauliOperator of a group, one Gray-code step at a time,
-or of a subgroup found as a GF(2) kernel.  The library answers the same
-questions with GF(2) spans over its mask table; the tests compare the two.
-The one-qubit Pauli and Clifford recognizers scan all six signed Paulis
-and all 24 catalog actions, where the library projects onto the basis.
+or of a subgroup found as a GF(2) kernel, or every support in the group's
+span table.  The library answers the same questions with GF(2) spans,
+graph form and subset transforms; the tests compare the two.  The
+one-qubit Pauli and Clifford recognizers scan all six signed Paulis and
+all 24 catalog actions, where the library projects onto the basis.
 """
 
 import numpy as np
 
 from graphclif import (CLIFFORD_CATALOG, StabilizerGroup, canonical_form,
-                       minimal_supports, parse_pauli)
+                       parse_pauli)
 from graphclif.gf2 import Echelon
 from graphclif.graphs import Graph
+from graphclif.stabilizer import mask_tables
+
+_CHUNK_BITS = 20
+
+
+def distance(group):
+    """Least weight over all 2^k - 1 non-identity elements, in chunks:
+    the table of the low generators against each high combination."""
+    lo_bits = min(group.k, _CHUNK_BITS)
+    x_lo, z_lo = mask_tables(group.generators[:lo_bits])
+    x_hi, z_hi = mask_tables(group.generators[lo_bits:])
+    best = 64
+    for i in range(len(x_hi)):
+        w = np.bitwise_count((x_lo ^ x_hi[i]) | (z_lo ^ z_hi[i]))
+        if i == 0:
+            w[0] = 64  # skip the identity
+        best = min(best, int(w.min()))
+    return best
+
+
+def minimal_supports(group):
+    """Supports with no smaller support inside, by (weight, mask): each
+    support in that order is kept unless a kept one lies inside it."""
+    order = sorted(group.support_counts(), key=lambda m: (m.bit_count(), m))
+    kept = []
+    for omega in order:
+        if not any(mu & omega == mu for mu in kept):
+            kept.append(omega)
+    return tuple(kept)
 
 
 def minimal_elements(group):

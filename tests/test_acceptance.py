@@ -89,10 +89,10 @@ def test_criterion_5_reed_muller_m5():
         s = logical_state_stabilizer(css, choice)
         assert s.distance() == delta
     elapsed = time.monotonic() - t0
-    assert elapsed <= 600.0
+    assert elapsed <= 10.0
     for m in (3, 4, 5):
         assert transversal_weight_check(m)
-    print(f"criterion 5 [RM m=5: delta 3/4 by streaming in {elapsed:.0f}s, "
+    print(f"criterion 5 [RM m=5: delta 3/4 in {elapsed:.3f}s, "
           f"transversal weights m=3,4,5]: PASS")
 
 

@@ -202,6 +202,16 @@ def test_rm_m4_zero(capsys):
     assert all(s == "Z" for s in r["state"]["letters"])
 
 
+def test_rm_m5_plus_and_zero(capsys):
+    for choice, delta in (("plus", 4), ("zero", 3)):
+        code, out, _ = run(capsys, ["rm", "--m", "5", "--state", choice])
+        assert code == 0
+        r = envelope(out)["results"]
+        assert r["css"]["n"] == 31 and r["css"]["distance"] is None
+        assert r["state"]["delta"] == delta
+        assert r["state"]["msc"] is None and r["state"]["letters"] is None
+
+
 def test_gen_construct_verify_pipeline(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     res = tmp_path / "res.json"

@@ -86,8 +86,8 @@ def test_distance_small_families():
     assert standard_generators(Graph.path(6)).distance() == 2
 
 
-def test_distance_streaming_matches_direct():
-    # cross-check the chunked numpy scan against explicit multiplication
+def test_distance_matches_explicit_products():
+    # cross-check the graph-form scan against explicit multiplication
     g = Graph.cycle(7)
     s = standard_generators(g)
     weights = []
@@ -125,8 +125,8 @@ def test_support_counts_match_enumeration():
 
 _OPTIMIZED_SCRIPT = """
 import contextlib, io, sys
-from graphclif import (Graph, PauliOperator, StabilizerGroup, construct_lc,
-                       generate_instance, parse_pauli)
+from graphclif import (CapabilityError, Graph, PauliOperator, StabilizerGroup,
+                       construct_lc, generate_instance, parse_pauli, to_graph6)
 from graphclif.cli import main
 
 inst = generate_instance(Graph.cycle(5), seed=3)
@@ -161,13 +161,22 @@ for build in (lambda: Graph([3, 0]), lambda: Graph.from_edges(2, [(0, 0)]),
         pass
     else:
         sys.exit(f"{bad!r} was accepted")
+for build in (lambda: to_graph6(Graph.path(63)), lambda: Graph.cycle(2),
+              lambda: PauliOperator(2, 1, 0) * PauliOperator(3, 1, 0)):
+    try:
+        bad = build()
+    except (ValueError, CapabilityError):
+        pass
+    else:
+        sys.exit(f"{bad!r} was returned")
 """
 
 
 def test_membership_survives_python_O(tmp_path):
     # the generator checks must not live inside asserts, or -O leaves the
-    # membership solver empty; gen-instance's graph checks and the Graph
-    # and PauliOperator constructors likewise
+    # membership solver empty; gen-instance's graph checks, the Graph
+    # and PauliOperator constructors, to_graph6's size cap, the minimum
+    # cycle length and the qubit-count check of a product likewise
     src = Path(graphclif.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
