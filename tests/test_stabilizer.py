@@ -14,9 +14,10 @@ import pytest
 
 import graphclif
 from enumeration_oracles import local_elements
-from graphclif import (StabilizerGroup, distance_upper_bound, is_even_code,
-                       minimal_elements, minimal_subgroup, msc_check,
-                       parse_pauli, s_equals_m, support_profile)
+from graphclif import (FULL_PROFILE_LIMIT, CapabilityError, StabilizerGroup,
+                       distance_upper_bound, is_even_code, minimal_elements,
+                       minimal_subgroup, msc_check, parse_pauli, s_equals_m,
+                       support_profile)
 from graphclif.graphs import Graph
 from graphclif.graphstates import standard_generators
 
@@ -121,6 +122,17 @@ def test_support_counts_match_enumeration():
         p = s.element_from_mask(mask)
         direct[p.support_mask] = direct.get(p.support_mask, 0) + 1
     assert s.support_counts() == direct
+
+
+def test_table_caps_raise_capability_error():
+    # a subgroup past FULL_PROFILE_LIMIT generators has no graph form to
+    # scan, and no table is built before the check
+    gens = standard_generators(Graph.path(FULL_PROFILE_LIMIT + 3)).generators
+    wide = StabilizerGroup(gens[:FULL_PROFILE_LIMIT + 1])
+    for ask in (wide.distance, wide.support_counts, lambda: msc_check(wide)):
+        with pytest.raises(CapabilityError):
+            ask()
+    assert StabilizerGroup(gens[:3]).distance() == 2
 
 
 _OPTIMIZED_SCRIPT = """
