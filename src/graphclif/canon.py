@@ -1,19 +1,25 @@
 """Canonical labeling and local-complementation orbits.
 
-The labeling is the classic individualization-refinement search: compute
-the coarsest equitable partition, branch on the first non-singleton cell,
-and keep the lexicographically least packed adjacency over all discrete
-leaves.  Leaves that reproduce an earlier key reveal automorphisms, whose
-orbits prune sibling branches; that keeps highly symmetric graphs (for
-instance complete graphs, which appear in every orbit containing a star)
-at polynomially many leaves instead of n factorial.
+The labeling is the classic individualization-refinement search (McKay &
+Piperno, arXiv:1301.1493): compute the coarsest equitable partition,
+branch on the first non-singleton cell, and keep the lexicographically
+least packed adjacency over all discrete leaves.  Cells are bitmasks of
+vertices, and refinement follows one fixed split sequence, so the
+ordered cells, and with them the leaves and the key, are
+isomorphism-invariant.  Leaves that reproduce an earlier key reveal
+automorphisms, whose orbits prune sibling branches; that keeps highly
+symmetric graphs (for instance complete graphs, which appear in every
+orbit containing a star) at polynomially many leaves instead of n
+factorial.
 
 Keys are plain integers packing the upper triangle of the relabeled
 adjacency, so comparisons, set membership, and report sorting stay cheap.
 
 An orbit under repeated local complementation is closed over canonical
-keys.  Orbits can be huge, so closure honors a cap (argument, else the
-GRAPHCLIF_ORBIT_CAP environment variable, else 10^7 members).
+keys, complementing one vertex per orbit of the automorphisms that the
+labeling of each member found.  Orbits can be huge, so closure honors a
+cap (argument, else the GRAPHCLIF_ORBIT_CAP environment variable, else
+10^7 members).
 """
 
 from __future__ import annotations
@@ -42,26 +48,56 @@ def resolve_orbit_cap(cap: int | None = None) -> int:
     return DEFAULT_ORBIT_CAP
 
 
-def _refine(adj, cells):
-    """Coarsest equitable refinement; cells are split in place, subcells
-    ordered by neighbor count, so the outcome is isomorphism-invariant."""
-    work = [sum(1 << v for v in c) for c in cells]
-    while work:
+def _refine(adj, cells, work):
+    """Coarsest equitable refinement of a list of bitmask cells.
+
+    work is a LIFO stack of splitters; each popped splitter scans the
+    cells in order, and a cell that splits is replaced in place by its
+    subcells in ascending neighbor-count order, each pushed in turn.
+    That fixed split sequence makes the ordered outcome
+    isomorphism-invariant.  Seeding work with every cell gives the
+    coarsest equitable refinement; a splitter the cells are already
+    equitable with may be left out, as it would split nothing.
+    """
+    n = len(adj)
+    while work and len(cells) < n:
         splitter = work.pop()
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if len(cell) > 1:
-                buckets = {}
-                for v in cell:
-                    buckets.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-                if len(buckets) > 1:
-                    subs = [buckets[k] for k in sorted(buckets)]
-                    cells[i:i + 1] = subs
-                    for sub in subs:
-                        work.append(sum(1 << v for v in sub))
-                    i += len(subs) - 1
-            i += 1
+        if splitter & (splitter - 1) == 0:
+            # one vertex: no neighbors first, then the neighbors
+            nbrs = adj[splitter.bit_length() - 1]
+            out = []
+            for cell in cells:
+                inside = cell & nbrs
+                if inside and inside != cell:
+                    outside = cell ^ inside
+                    out.append(outside)
+                    out.append(inside)
+                    work.append(outside)
+                    work.append(inside)
+                else:
+                    out.append(cell)
+            cells = out
+            continue
+        out = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                out.append(cell)
+                continue
+            buckets = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                k = (adj[low.bit_length() - 1] & splitter).bit_count()
+                buckets[k] = buckets.get(k, 0) | low
+                rest ^= low
+            if len(buckets) == 1:
+                out.append(cell)
+                continue
+            for k in sorted(buckets):
+                sub = buckets[k]
+                out.append(sub)
+                work.append(sub)
+        cells = out
     return cells
 
 
@@ -75,92 +111,90 @@ def _pack(adj, order, n):
 
 
 def canonical_labeling(g: Graph):
-    """Returns (key, order): order[position] = original vertex."""
+    """Returns (key, order, generators): order[position] = original
+    vertex, and generators are automorphisms of g found on the way, each
+    a tuple gamma with gamma[v] the image of v."""
     adj = g.adj
     n = g.n
     if n == 1:
-        return 0, (0,)
-    cells = _refine(adj, [list(range(n))])
-
+        return 0, (0,), ()
     autos: list[tuple] = []  # discovered automorphism generators
     seen_autos = set()
+    identity = tuple(range(n))
 
     def record(order_a, order_b):
         gamma = [0] * n
         for x, y in zip(order_a, order_b):
             gamma[x] = y
         gamma = tuple(gamma)
-        if gamma not in seen_autos and any(gamma[v] != v for v in range(n)):
+        if gamma != identity and gamma not in seen_autos:
             seen_autos.add(gamma)
             autos.append(gamma)
 
-    state = {"best": None, "best_order": None, "first": None, "first_order": None}
+    first = first_order = best = best_order = None
 
     def descend(cells, path):
+        nonlocal first, first_order, best, best_order
         for idx, cell in enumerate(cells):
-            if len(cell) > 1:
+            if cell & (cell - 1):
                 break
         else:
-            order = [c[0] for c in cells]
+            order = [c.bit_length() - 1 for c in cells]
             key = _pack(adj, order, n)
-            if state["first"] is None:
-                state["first"], state["first_order"] = key, order
-            elif key == state["first"]:
-                record(state["first_order"], order)
-            if state["best"] is None or key < state["best"]:
-                state["best"], state["best_order"] = key, order
-            elif key == state["best"] and order != state["best_order"]:
-                record(state["best_order"], order)
+            if first is None:
+                first, first_order = key, order
+            elif key == first:
+                record(first_order, order)
+            if best is None or key < best:
+                best, best_order = key, order
+            elif key == best and order != best_order:
+                record(best_order, order)
             return
         # Only automorphisms fixing every vertex individualized on the way
-        # down may prune siblings here; orbits are rebuilt lazily because
-        # deeper calls keep discovering new generators.
-        tried = []
-        for v in cell:
+        # down may prune siblings here; deeper calls keep discovering new
+        # generators, so each sibling looks at the ones found since.
+        fixing = []
+        examined = 0
+        tried = 0
+        head, tail = cells[:idx], cells[idx + 1:]
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
             if tried:
-                fixing = [
-                    gamma for gamma in autos
-                    if all(gamma[p] == p for p in path)
-                ]
-                if fixing:
-                    parent = list(range(n))
+                if examined < len(autos):
+                    fixing += [gamma for gamma in autos[examined:]
+                               if all(gamma[p] == p for p in path)]
+                    examined = len(autos)
+                if fixing and _orbit(low.bit_length() - 1, fixing) & tried:
+                    continue
+            tried |= low
+            # cells is equitable, so of the new cells only the two
+            # halves of the individualized cell can split anything
+            branch = head + [low, cell ^ low] + tail
+            descend(_refine(adj, branch, [low, cell ^ low]),
+                    path + (low.bit_length() - 1,))
 
-                    def find(a):
-                        while parent[a] != a:
-                            parent[a] = parent[parent[a]]
-                            a = parent[a]
-                        return a
-
-                    for gamma in fixing:
-                        for a in range(n):
-                            ra, rb = find(a), find(gamma[a])
-                            if ra != rb:
-                                parent[ra] = rb
-                    rv = find(v)
-                    if any(find(u) == rv for u in tried):
-                        continue
-            tried.append(v)
-            branch = (
-                cells[:idx]
-                + [[v], [u for u in cell if u != v]]
-                + cells[idx + 1:]
-            )
-            descend(_refine(adj, branch), path + (v,))
-
-    descend(cells, ())
-    return state["best"], tuple(state["best_order"])
+    descend(_refine(adj, [(1 << n) - 1], [(1 << n) - 1]), ())
+    return best, tuple(best_order), tuple(autos)
 
 
 def canonical_form(g: Graph) -> int:
     return canonical_labeling(g)[0]
 
 
-def canonical_graph(g: Graph) -> Graph:
-    key, order = canonical_labeling(g)
+def _relabeled(g: Graph, order, gens=()):
+    """g moved to the positions order gives, with its automorphisms
+    carried along: (relabeled graph, generators on the new labels)."""
     perm = [0] * g.n
     for pos, v in enumerate(order):
         perm[v] = pos
-    return g.relabel(perm)
+    return (g.relabel(perm),
+            [tuple(perm[gamma[v]] for v in order) for gamma in gens])
+
+
+def canonical_graph(g: Graph) -> Graph:
+    return _relabeled(g, canonical_labeling(g)[1])[0]
 
 
 def wl_cell_index(g: Graph) -> tuple[int, ...]:
@@ -170,44 +204,73 @@ def wl_cell_index(g: Graph) -> tuple[int, ...]:
     different cells never are.  Cheap, and stable across isomorphs.
     Nothing in the package calls it; bench/tracing.py wraps it by name.
     """
-    cells = _refine(g.adj, [list(range(g.n))])
     out = [0] * g.n
-    for i, cell in enumerate(cells):
-        for v in cell:
-            out[v] = i
+    unit = (1 << g.n) - 1
+    for i, cell in enumerate(_refine(g.adj, [unit], [unit])):
+        while cell:
+            low = cell & -cell
+            out[low.bit_length() - 1] = i
+            cell ^= low
     return tuple(out)
+
+
+def _orbit(v: int, gens) -> int:
+    """Bitmask of the orbit of v under the group that gens generate."""
+    orbit = 1 << v
+    grow = [v]
+    while grow:
+        x = grow.pop()
+        for gamma in gens:
+            y = gamma[x]
+            if not (orbit >> y) & 1:
+                orbit |= 1 << y
+                grow.append(y)
+    return orbit
+
+
+def _orbit_minima(n: int, gens) -> list[int]:
+    """Least vertex of each orbit of the group that gens generate."""
+    out = []
+    seen = 0
+    for v in range(n):
+        if not (seen >> v) & 1:
+            out.append(v)
+            seen |= _orbit(v, gens)
+    return out
 
 
 def lc_orbit(g: Graph, cap: int | None = None) -> dict[int, Graph]:
     """Closure of g under local complementation, up to isomorphism.
 
     Maps canonical key -> canonically labeled member.  Complementing each
-    vertex of a canonical representative reaches every orbit member.
+    vertex of a canonical representative reaches every orbit member, and
+    automorphic vertices give isomorphic complements, so only the least
+    vertex of each orbit of the automorphisms found while labeling is
+    complemented.  The members, and the order they are found in, are
+    those of complementing every vertex.
     """
     cap = resolve_orbit_cap(cap)
-    start = canonical_graph(g)
-    orbit = {canonical_form(start): start}
+    key, order, gens = canonical_labeling(g)
+    start = _relabeled(g, order, gens)
+    orbit = {key: start[0]}
     frontier = [start]
     while frontier:
         fresh = []
-        for graph in frontier:
-            for v in range(graph.n):
+        for graph, gens in frontier:
+            for v in _orbit_minima(graph.n, gens):
                 if graph.adj[v].bit_count() < 2:
                     # complementing at degree <= 1 changes nothing
                     continue
                 h = graph.local_complement(v)
-                key, order = canonical_labeling(h)
+                key, order, gens_h = canonical_labeling(h)
                 if key in orbit:
                     continue
                 if len(orbit) >= cap:
                     raise OrbitCapExceeded(
                         f"orbit exceeds cap of {cap} members (raise {ORBIT_CAP_ENV})"
                     )
-                perm = [0] * h.n
-                for pos, u in enumerate(order):
-                    perm[u] = pos
-                member = h.relabel(perm)
-                orbit[key] = member
+                member = _relabeled(h, order, gens_h)
+                orbit[key] = member[0]
                 fresh.append(member)
         frontier = fresh
     return orbit

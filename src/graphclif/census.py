@@ -6,9 +6,10 @@ arXiv:math/0504522): delete a non-cut vertex, carry what is left to the
 representative by local complementations at old vertices, and those act
 on the old vertices as they act on the smaller graph.  So run_census
 closes the LC orbits of those extensions, level by level from the single
-vertex.  Classification buckets a stream by lc_class_key and analyzes one
-canonical representative per class, which keeps reports byte-identical
-regardless of stream order or worker count.
+vertex, and analyzes the classes of the last level only.  Classification
+buckets a stream by lc_class_key and analyzes one canonical
+representative per class, which keeps reports byte-identical regardless
+of stream order or worker count.
 
 The graph generators extend every graph of the previous level by one
 vertex too, and keep the first graph per canonical form; they hold one
@@ -161,31 +162,35 @@ def _worker(args):
     return _bucket_stream((from_graph6(s) for s in g6_lines), n, orbit_cap)
 
 
+def _bucket(graphs, n: int, jobs: int, orbit_cap):
+    """_bucket_stream over jobs workers taking the stream round-robin."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        return _bucket_stream(graphs, n, orbit_cap)
+    import multiprocessing as mp
+    chunks = [[] for _ in range(jobs)]
+    for i, g in enumerate(graphs):
+        chunks[i % jobs].append(to_graph6(g))
+    with mp.Pool(jobs) as pool:
+        parts = pool.map(_worker, [(c, n, orbit_cap) for c in chunks])
+    reps, seen = {}, 0
+    for pr, ps in parts:
+        seen += ps
+        for ck, rec in pr.items():
+            if ck in reps:
+                assert reps[ck] == rec, "nondeterministic class record"
+            reps[ck] = rec
+    return reps, seen
+
+
 def classify_lc_classes(graphs, n: int, jobs: int = 1,
                         orbit_cap: int | None = None) -> CensusReport:
     """LC classes of a stream of connected graphs on n vertices; jobs
     workers take the stream round-robin."""
     if n < 1:
         raise ValueError(f"graph order must be at least 1, got {n}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
-        reps, seen = _bucket_stream(graphs, n, orbit_cap)
-    else:
-        import multiprocessing as mp
-        chunks = [[] for _ in range(jobs)]
-        for i, g in enumerate(graphs):
-            chunks[i % jobs].append(to_graph6(g))
-        with mp.Pool(jobs) as pool:
-            parts = pool.map(_worker, [(c, n, orbit_cap) for c in chunks])
-        reps, seen = {}, 0
-        for pr, ps in parts:
-            seen += ps
-            for ck, rec in pr.items():
-                if ck in reps:
-                    assert reps[ck] == rec, "nondeterministic class record"
-                reps[ck] = rec
-
+    reps, seen = _bucket(graphs, n, jobs, orbit_cap)
     records = []
     for ck in sorted(reps):
         rep_g6, orbit_size, capped = reps[ck]
@@ -199,21 +204,29 @@ def classify_lc_classes(graphs, n: int, jobs: int = 1,
     return CensusReport(n=n, graphs_seen=seen, records=tuple(records))
 
 
+def _extensions(reps: dict, k: int):
+    """Every one-vertex extension of each k-vertex class representative,
+    by class key."""
+    for ck in sorted(reps):
+        rep = from_graph6(reps[ck][0])
+        for s in range(1, 1 << k):
+            yield rep.add_vertex(s)
+
+
 def run_census(n: int, jobs: int = 1, orbit_cap: int | None = None) -> CensusReport:
     """LC classes of all connected graphs on n vertices.
 
-    Each level classifies the one-vertex extensions of the previous
-    level's representatives.  graphs_seen is the sum of the orbit sizes:
-    every connected graph once, unless an orbit hit the cap (a capped
-    class counts 0).
+    Each level buckets the one-vertex extensions of the previous level's
+    representatives; only the last level's classes are analyzed.
+    graphs_seen is the sum of the orbit sizes: every connected graph
+    once, unless an orbit hit the cap (a capped class counts 0).
     """
     _check_order(n)
-    report = classify_lc_classes([Graph([0])], 1, jobs, orbit_cap)
+    stream = [Graph([0])]
     for k in range(1, n):
-        reps = [from_graph6(r.rep_g6) for r in report.records]
-        report = classify_lc_classes(
-            (rep.add_vertex(s) for rep in reps for s in range(1, 1 << k)),
-            k + 1, jobs, orbit_cap)
+        reps, _ = _bucket(stream, k, jobs, orbit_cap)
+        stream = _extensions(reps, k)
+    report = classify_lc_classes(stream, n, jobs, orbit_cap)
     return replace(report,
                    graphs_seen=sum(r.orbit_size for r in report.records))
 

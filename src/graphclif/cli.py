@@ -17,6 +17,7 @@ GRAPHCLIF_ORBIT_CAP overrides the orbit-size cap used by class keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -316,8 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call and kept for later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CapabilityError, OrbitCapExceeded) as exc:

@@ -46,7 +46,8 @@ class SingleQubitClifford:
 
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         """Image of a one-qubit Pauli i^e X^x Z^z under conjugation."""
-        assert p.n == 1
+        if p.n != 1:
+            raise ValueError(f"a one-qubit Clifford cannot conjugate {p}")
         out = PauliOperator(1, 0, 0, p.phase_exp)
         if p.x_bits:
             out = out * self.img_x

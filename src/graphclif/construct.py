@@ -149,7 +149,9 @@ def _gray_rank(mask: int) -> int:
 
 def weight_two_elements(group: StabilizerGroup) -> list:
     """The weight-2 elements, in the order of a Gray-code walk of the group."""
-    assert group.n <= 20, "weight-2 scan tabulates the full group"
+    if group.n > 20:
+        raise CapabilityError(
+            f"the weight-2 scan tabulates the whole group (n <= 20, not {group.n})")
     x, z = mask_tables(group.generators)
     masks = np.flatnonzero(np.bitwise_count(x | z) == 2).tolist()
     return [group.element_from_mask(m) for m in sorted(masks, key=_gray_rank)]
@@ -166,7 +168,8 @@ def _split_pair(e: PauliOperator, a: int, b: int) -> tuple:
     alpha = PauliOperator(1, (e.x_bits >> a) & 1, (e.z_bits >> a) & 1,
                           (e.phase_exp - y_b) % 4)
     beta = PauliOperator(1, (e.x_bits >> b) & 1, (e.z_bits >> b) & 1, y_b)
-    assert alpha.is_hermitian() and beta.is_hermitian()
+    if not (alpha.is_hermitian() and beta.is_hermitian()):
+        raise ValueError(f"{e} does not split into Hermitian factors at {a}, {b}")
     return alpha, beta
 
 

@@ -42,6 +42,15 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
+    @classmethod
+    def _trusted(cls, rows) -> "Graph":
+        """A graph from rows already known to be valid: no checks, and
+        no call to __init__.  For rows derived from a valid graph."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(rows))
+        object.__setattr__(g, "adj", tuple(rows))
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
@@ -98,9 +107,6 @@ class Graph:
                 u += 1
         return out
 
-    def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
-
     def is_connected(self) -> bool:
         adj = self.adj
         full = (1 << self.n) - 1
@@ -120,23 +126,28 @@ class Graph:
 
     def relabel(self, perm) -> "Graph":
         """perm[old] = new vertex id."""
-        rows = [0] * self.n
-        for v in range(self.n):
-            row = self.adj[v]
+        n = self.n
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {perm!r}")
+        rows = [0] * n
+        for v, row in enumerate(self.adj):
             new_row = 0
-            u = 0
-            while row >> u:
-                if (row >> u) & 1:
-                    new_row |= 1 << perm[u]
-                u += 1
+            while row:
+                low = row & -row
+                new_row |= 1 << perm[low.bit_length() - 1]
+                row ^= low
             rows[perm[v]] = new_row
-        return Graph(rows)
+        return Graph._trusted(rows)
 
     def add_vertex(self, nbr_mask: int) -> "Graph":
         n = self.n
+        if n == MAX_VERTICES:
+            raise ValueError(f"a graph holds at most {MAX_VERTICES} vertices")
+        if not 0 <= nbr_mask < (1 << n):
+            raise ValueError(f"neighbor mask {nbr_mask} outside 0..2^{n} - 1")
         rows = [row | (((nbr_mask >> v) & 1) << n) for v, row in enumerate(self.adj)]
         rows.append(nbr_mask)
-        return Graph(rows)
+        return Graph._trusted(rows)
 
     def induced_subgraph(self, vertices) -> "Graph":
         vertices = sorted(vertices)
@@ -152,15 +163,16 @@ class Graph:
 
     def local_complement(self, v: int) -> "Graph":
         """Toggle all edges among the neighbors of v."""
-        assert 0 <= v < self.n
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         nbrs = self.adj[v]
         rows = list(self.adj)
-        u = 0
-        while nbrs >> u:
-            if (nbrs >> u) & 1:
-                rows[u] ^= nbrs & ~(1 << u)
-            u += 1
-        return Graph(rows)
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            rows[low.bit_length() - 1] ^= nbrs ^ low
+            rest ^= low
+        return Graph._trusted(rows)
 
     # -- short cycles --------------------------------------------------------
 

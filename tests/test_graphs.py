@@ -48,6 +48,23 @@ def test_local_complement_involution_and_example():
     assert h.has_edge(3, 4) and h.has_edge(1, 3) and h.has_edge(1, 4)
 
 
+def test_derived_graphs_are_valid_and_check_their_arguments():
+    # local_complement, relabel and add_vertex build their rows without
+    # the constructor's checks, so they check what they are given
+    g = b4()
+    for h in (g.local_complement(2), g.relabel([4, 2, 0, 1, 3]),
+              g.add_vertex(0b10001)):
+        assert Graph(h.adj) == h
+    added = set(g.add_vertex(0b10001).edges()) - set(g.edges())
+    assert added == {(0, 5), (4, 5)}
+    for bad in (lambda: g.local_complement(-1), lambda: g.local_complement(5),
+                lambda: g.relabel([0, 0, 1, 2, 3]), lambda: g.relabel([0, 1]),
+                lambda: g.add_vertex(1 << 5), lambda: g.add_vertex(-1),
+                lambda: Graph.path(63).add_vertex(1)):
+        with pytest.raises(ValueError):
+            bad()
+
+
 def test_short_cycles():
     assert Graph.complete(3).has_triangle()
     assert not Graph.cycle(4).has_triangle()

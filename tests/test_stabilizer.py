@@ -137,9 +137,12 @@ def test_table_caps_raise_capability_error():
 
 _OPTIMIZED_SCRIPT = """
 import contextlib, io, sys
-from graphclif import (CapabilityError, Graph, PauliOperator, StabilizerGroup,
-                       construct_lc, generate_instance, parse_pauli, to_graph6)
+from graphclif import (CLIFFORD_CATALOG, CapabilityError, Graph, PauliOperator,
+                       StabilizerGroup, build_css, construct_lc, css_distance,
+                       generate_instance, parse_pauli, standard_generators,
+                       to_graph6, weight_two_elements)
 from graphclif.cli import main
+from graphclif.construct import _split_pair
 
 inst = generate_instance(Graph.cycle(5), seed=3)
 s = inst.s_prime
@@ -174,7 +177,12 @@ for build in (lambda: Graph([3, 0]), lambda: Graph.from_edges(2, [(0, 0)]),
     else:
         sys.exit(f"{bad!r} was accepted")
 for build in (lambda: to_graph6(Graph.path(63)), lambda: Graph.cycle(2),
-              lambda: PauliOperator(2, 1, 0) * PauliOperator(3, 1, 0)):
+              lambda: PauliOperator(2, 1, 0) * PauliOperator(3, 1, 0),
+              lambda: Graph.path(3).local_complement(-1),
+              lambda: weight_two_elements(standard_generators(Graph.path(21))),
+              lambda: _split_pair(PauliOperator(2, 3, 0, 1), 0, 1),
+              lambda: CLIFFORD_CATALOG[0].conjugate(parse_pauli("XX")),
+              lambda: css_distance(build_css(5))):
     try:
         bad = build()
     except (ValueError, CapabilityError):
@@ -188,7 +196,10 @@ def test_membership_survives_python_O(tmp_path):
     # the generator checks must not live inside asserts, or -O leaves the
     # membership solver empty; gen-instance's graph checks, the Graph
     # and PauliOperator constructors, to_graph6's size cap, the minimum
-    # cycle length and the qubit-count check of a product likewise
+    # cycle length, the qubit-count check of a product, the vertex range
+    # of a local complement, the size caps of the weight-2 scan and of
+    # css_distance, the Hermitian split of a weight-2 element and the
+    # one-qubit check of a Clifford conjugation likewise
     src = Path(graphclif.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
