@@ -5,9 +5,9 @@ driving the leaf/axil analysis, the minimal-support check, and which
 sufficient condition (if any) settles LU = LC for its equivalence class.
 """
 
-from graphclif import (Graph, classify_theorem, is_even_code, msc_check,
-                       s_equals_m, standard_generators, support_profile,
-                       to_graph6, vertex_partition)
+from graphclif import (Graph, classify_theorem, is_even_code,
+                       minimal_supports, msc_check, s_equals_m,
+                       standard_generators, to_graph6, vertex_partition)
 
 B4 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
 HEXACODE = Graph.from_edges(6, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 5),
@@ -29,18 +29,19 @@ def vertices(mask):
 
 def report(title, g):
     s = standard_generators(g)
-    profile = support_profile(s)
+    counts = s.support_counts()
+    minimal = minimal_supports(s)
     part = vertex_partition(g)
     m = msc_check(s)
     cls = classify_theorem(g)
 
     print(f"== {title}  ({to_graph6(g)})")
-    print(f"   n={g.n}  delta={profile.distance}  even_code={is_even_code(s)}")
+    print(f"   n={g.n}  delta={s.distance()}  even_code={is_even_code(s)}")
     print(f"   V1={vertices(part.v1)}  V2={vertices(part.v2)}  "
           f"V3={vertices(part.v3)}  V4={vertices(part.v4)}")
-    small = sorted(profile.minimal)[:4]
-    shown = ", ".join(f"{vertices(o)}:A={profile.a_counts[o]}" for o in small)
-    print(f"   minimal supports ({len(profile.minimal)} total): {shown}")
+    small = sorted(minimal)[:4]
+    shown = ", ".join(f"{vertices(o)}:A={counts[o]}" for o in small)
+    print(f"   minimal supports ({len(minimal)} total): {shown}")
     print(f"   msc={m.passed}  S=M:{s_equals_m(s)}")
     print(f"   classification: {cls.tag}  satisfied={sorted(cls.satisfied)}")
     print()

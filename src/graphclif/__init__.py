@@ -7,7 +7,7 @@ from .pauli import MAX_QUBITS, PauliOperator, identity, parse_pauli
 from .stabilizer import (FULL_PROFILE_LIMIT, MSCResult, StabilizerGroup,
                          distance_upper_bound, is_even_code, minimal_elements,
                          minimal_subgroup, minimal_supports, msc_check,
-                         s_equals_m, support_profile)
+                         s_equals_m)
 from .cliffords import (CLIFFORD_CATALOG, IDENTITY_1Q, LocalCliffordOp,
                         SingleQubitClifford, clifford_by_name,
                         conjugate_stabilizer, find_clifford_conjugator,
@@ -36,7 +36,6 @@ __all__ = [
     "FULL_PROFILE_LIMIT", "MSCResult", "StabilizerGroup",
     "distance_upper_bound", "is_even_code", "minimal_elements",
     "minimal_subgroup", "minimal_supports", "msc_check", "s_equals_m",
-    "support_profile",
     "CLIFFORD_CATALOG", "IDENTITY_1Q", "LocalCliffordOp",
     "SingleQubitClifford", "clifford_by_name", "conjugate_stabilizer",
     "find_clifford_conjugator", "is_clifford", "pauli_match",

@@ -17,7 +17,11 @@ adjacency, so comparisons, set membership, and report sorting stay cheap.
 
 An orbit under repeated local complementation is closed over canonical
 keys, complementing one vertex per orbit of the automorphisms that the
-labeling of each member found.  Orbits can be huge, so closure honors a
+labeling of each member found.  Local complementation is an involution
+(Bouchet, Combinatorica 11, 1991), so each labeling also marks the
+vertex of the member it reaches that leads back, and that vertex's
+automorphism orbit is never complemented: each edge of the orbit graph
+is labeled from one end only.  Orbits can be huge, so closure honors a
 cap (argument, else the GRAPHCLIF_ORBIT_CAP environment variable, else
 10^7 members).
 """
@@ -228,14 +232,15 @@ def _orbit(v: int, gens) -> int:
     return orbit
 
 
-def _orbit_minima(n: int, gens) -> list[int]:
-    """Least vertex of each orbit of the group that gens generate."""
+def _orbits(n: int, gens) -> list[int]:
+    """Orbits of the group that gens generate, as bitmasks, by least
+    vertex."""
     out = []
     seen = 0
     for v in range(n):
         if not (seen >> v) & 1:
-            out.append(v)
-            seen |= _orbit(v, gens)
+            out.append(_orbit(v, gens))
+            seen |= out[-1]
     return out
 
 
@@ -246,24 +251,33 @@ def lc_orbit(g: Graph, cap: int | None = None) -> dict[int, Graph]:
     vertex of a canonical representative reaches every orbit member, and
     automorphic vertices give isomorphic complements, so only the least
     vertex of each orbit of the automorphisms found while labeling is
-    complemented.  The members, and the order they are found in, are
-    those of complementing every vertex.
+    complemented.  If h = graph.local_complement(v) labels to (key,
+    order, _), complementing vertex order.index(v) of the member for key
+    gives graph back; known[key] collects those vertices, and an orbit
+    meeting them is skipped, as its complement is already a member.  The
+    members, the order they are found in and the point where the cap
+    raises are those of complementing every vertex.
     """
     cap = resolve_orbit_cap(cap)
     key, order, gens = canonical_labeling(g)
     start = _relabeled(g, order, gens)
     orbit = {key: start[0]}
-    frontier = [start]
+    known = {key: 0}  # per member: vertices whose complement is a member
+    frontier = [(key, *start)]
     while frontier:
         fresh = []
-        for graph, gens in frontier:
-            for v in _orbit_minima(graph.n, gens):
-                if graph.adj[v].bit_count() < 2:
-                    # complementing at degree <= 1 changes nothing
+        for here, graph, gens in frontier:
+            for cell in _orbits(graph.n, gens):
+                v = (cell & -cell).bit_length() - 1
+                # a known complement, or degree <= 1, which changes nothing
+                if cell & known[here] or graph.adj[v].bit_count() < 2:
                     continue
                 h = graph.local_complement(v)
                 key, order, gens_h = canonical_labeling(h)
+                # complementing v again, where order put it, leads back
+                back = 1 << order.index(v)
                 if key in orbit:
+                    known[key] |= back
                     continue
                 if len(orbit) >= cap:
                     raise OrbitCapExceeded(
@@ -271,7 +285,8 @@ def lc_orbit(g: Graph, cap: int | None = None) -> dict[int, Graph]:
                     )
                 member = _relabeled(h, order, gens_h)
                 orbit[key] = member[0]
-                fresh.append(member)
+                known[key] = back
+                fresh.append((key, *member))
         frontier = fresh
     return orbit
 

@@ -193,7 +193,8 @@ _CONJUGATOR = _conjugator_table()
 
 def find_clifford_conjugator(p: PauliOperator) -> SingleQubitClifford:
     """Catalog F with F p F^dag = +Z, for a signed non-identity Pauli p."""
-    assert p.n == 1 and not p.is_identity() and p.is_hermitian()
+    if p.n != 1 or p.is_identity() or not p.is_hermitian():
+        raise ValueError(f"{p} is not a Hermitian one-qubit Pauli")
     return _CONJUGATOR[(p.x_bits, p.z_bits, p.phase_exp)]
 
 
@@ -204,7 +205,8 @@ class LocalCliffordOp:
 
     def __init__(self, factors):
         self.factors = tuple(factors)
-        assert all(isinstance(f, SingleQubitClifford) for f in self.factors)
+        if not all(isinstance(f, SingleQubitClifford) for f in self.factors):
+            raise TypeError("factors must be catalog Cliffords")
 
     @classmethod
     def identity(cls, n: int) -> "LocalCliffordOp":
@@ -218,7 +220,8 @@ class LocalCliffordOp:
         return [f.name for f in self.factors]
 
     def compose(self, other: "LocalCliffordOp") -> "LocalCliffordOp":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError(f"qubit counts differ: {self.n} and {other.n}")
         return LocalCliffordOp(
             [a.compose(b) for a, b in zip(self.factors, other.factors)]
         )
@@ -228,7 +231,8 @@ class LocalCliffordOp:
 
     def conjugate_pauli(self, p: PauliOperator) -> PauliOperator:
         """Exact image K p K^dag; phases accumulate per qubit."""
-        assert p.n == self.n
+        if p.n != self.n:
+            raise ValueError(f"qubit counts differ: {self.n} and {p.n}")
         x_out = z_out = 0
         phase = p.phase_exp
         support = p.x_bits | p.z_bits

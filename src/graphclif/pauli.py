@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import CapabilityError
+
 MAX_QUBITS = 63
 
 _PHASE_PREFIX = {0: "+", 1: "i", 2: "-", 3: "-i"}
@@ -103,7 +105,8 @@ class PauliOperator:
 
     def letter(self, qubit: int) -> str:
         """Letter at a 1-based qubit label."""
-        assert 1 <= qubit <= self.n, "qubit label out of range"
+        if not 1 <= qubit <= self.n:
+            raise ValueError(f"qubit label {qubit} outside 1..{self.n}")
         j = qubit - 1
         return "IXZY"[((self.x_bits >> j) & 1) | (((self.z_bits >> j) & 1) << 1)]
 
@@ -136,7 +139,8 @@ class PauliOperator:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix.  Qubit 1 is the leftmost kron factor."""
-        assert self.n <= 12, "dense form limited to 12 qubits"
+        if self.n > 12:
+            raise CapabilityError("dense form limited to 12 qubits")
         out = np.array([[1j**self.phase_exp]], dtype=complex)
         table = (_I2, _X2, _Z2, _Y2)  # indexed by x + 2z
         for j in range(self.n):

@@ -28,6 +28,7 @@ exactly when rank M = k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .gf2 import Echelon, span_table
 from .pauli import PauliOperator, identity
 
 FULL_PROFILE_LIMIT = 20  # full in-memory support tables up to 2^20 entries
+DISTANCE_LEVEL_LIMIT = 1 << 22  # vertex sets of one size in a distance scan
 
 
 def _symplectic_vec(p: PauliOperator) -> int:
@@ -163,8 +165,9 @@ class StabilizerGroup:
         On a state group, the element over vertex set A of the graph form
         has support A | (XOR of the z rows over A), so weight >= |A|; the
         sets are scanned by size until the size reaches the best weight,
-        at a cost that grows as C(n, distance - 1).  Smaller groups scan
-        their 2^k elements.
+        at a cost that grows as C(n, distance - 1); a size with more than
+        DISTANCE_LEVEL_LIMIT sets raises CapabilityError instead of
+        filling memory.  Smaller groups scan their 2^k elements.
         """
         if not self.is_state_group():
             _check_table(self.k, "distance of a subgroup")
@@ -178,6 +181,10 @@ class StabilizerGroup:
             best = min(best, int(np.bitwise_count(level[:, 0] | level[:, 1]).min()))
             if size + 1 >= best:
                 break
+            if math.comb(self.n, size + 1) > DISTANCE_LEVEL_LIMIT:
+                raise CapabilityError(
+                    f"distance scan needs C({self.n}, {size + 1}) vertex sets "
+                    f"(capped at {DISTANCE_LEVEL_LIMIT})")
             blocks = [level[:b] ^ rows[v] for v, b in enumerate(below)]
             below = np.cumsum([0] + [len(b) for b in blocks[:-1]])
             level = np.concatenate(blocks)
@@ -249,20 +256,6 @@ def minimal_supports(group: StabilizerGroup) -> tuple[int, ...]:
     supports = [sum(c for i, c in enumerate(classes) if (mask >> i) & 1)
                 for mask in np.flatnonzero(minimal).tolist()]
     return tuple(sorted(supports, key=lambda m: (m.bit_count(), m)))
-
-
-@dataclass(frozen=True)
-class SupportProfile:
-    distance: int
-    a_counts: dict
-    minimal: tuple
-
-
-def support_profile(group: StabilizerGroup) -> SupportProfile:
-    counts = group.support_counts()
-    minimal = minimal_supports(group)
-    distance = min(m.bit_count() for m in counts)
-    return SupportProfile(distance=distance, a_counts=counts, minimal=minimal)
 
 
 def _minimal_masks(group: StabilizerGroup) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import CapabilityError
 from .graphs import Graph
 from .pauli import PauliOperator
 from .stabilizer import StabilizerGroup
@@ -29,7 +30,8 @@ def _index_mask(qubit_mask: int, n: int) -> int:
 def graph_state_vector(g: Graph) -> np.ndarray:
     """Amplitudes 2^{-n/2} (-1)^{sum over edges of a_u a_v}."""
     n = g.n
-    assert n <= DENSE_LIMIT, "dense vectors capped at 12 qubits"
+    if n > DENSE_LIMIT:
+        raise CapabilityError("dense vectors capped at 12 qubits")
     idx = np.arange(1 << n)
     signs = np.zeros(1 << n, dtype=np.int64)
     for u, v in g.edges():
@@ -42,7 +44,8 @@ def graph_state_vector(g: Graph) -> np.ndarray:
 def apply_pauli(p: PauliOperator, vec: np.ndarray) -> np.ndarray:
     """Matrix-free action: X part permutes indices, Z part flips signs."""
     n = p.n
-    assert vec.shape == (1 << n,)
+    if vec.shape != (1 << n,):
+        raise ValueError(f"vector of shape {vec.shape} for {n} qubits")
     xm = _index_mask(p.x_bits, n)
     zm = _index_mask(p.z_bits, n)
     idx = np.arange(1 << n)
@@ -55,8 +58,10 @@ def apply_pauli(p: PauliOperator, vec: np.ndarray) -> np.ndarray:
 
 def stabilizer_state_vector(s: StabilizerGroup, seed: int = 12345) -> np.ndarray:
     """Project a fixed pseudorandom vector onto the joint +1 eigenspace."""
-    assert s.is_state_group(), "state vector needs a full set of generators"
-    assert s.n <= DENSE_LIMIT
+    if not s.is_state_group():
+        raise ValueError("state vector needs a full set of generators")
+    if s.n > DENSE_LIMIT:
+        raise CapabilityError("dense vectors capped at 12 qubits")
     for attempt in range(8):
         rng = np.random.default_rng(seed + attempt)
         vec = rng.normal(size=1 << s.n) + 1j * rng.normal(size=1 << s.n)
@@ -73,7 +78,8 @@ def stabilizer_state_vector(s: StabilizerGroup, seed: int = 12345) -> np.ndarray
 def apply_local(matrices, vec: np.ndarray) -> np.ndarray:
     """Apply one 2x2 matrix per qubit to a dense vector."""
     n = len(matrices)
-    assert vec.shape == (1 << n,)
+    if vec.shape != (1 << n,):
+        raise ValueError(f"vector of shape {vec.shape} for {n} qubits")
     t = vec.reshape((2,) * n)
     for j, m in enumerate(matrices):
         t = np.moveaxis(np.tensordot(np.asarray(m, dtype=complex), t, axes=([1], [j])), 0, j)

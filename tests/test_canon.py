@@ -3,8 +3,9 @@
 Completeness is checked by brute force: over every labeled graph on up
 to 5 vertices, equal canonical forms must coincide exactly with graph
 isomorphism (tested through random relabelings both ways).  Bitmask
-refinement and automorphism-pruned orbits are checked against the list
-refinement and the every-vertex closure of enumeration_oracles.
+refinement and pruned orbits (automorphism orbits and the involution
+mark) are checked against the list refinement and the every-vertex
+closure of enumeration_oracles.
 """
 
 import itertools
@@ -14,9 +15,9 @@ import random
 import pytest
 
 import enumeration_oracles as oracle
-from graphclif import (Graph, OrbitCapExceeded, canonical_form,
+from graphclif import (Graph, OrbitCapExceeded, canon, canonical_form,
                        canonical_graph, generate_connected_graphs,
-                       lc_class_key, lc_orbit)
+                       lc_class_key, lc_orbit, run_census)
 from graphclif.canon import _refine
 
 
@@ -139,6 +140,34 @@ def test_bitmask_refinement_matches_list_oracle():
 
 def test_pruned_orbit_matches_full_closure():
     # keys, members and the order they are found in
-    graphs = [g for n in range(1, 7) for g in generate_connected_graphs(n)]
+    graphs = [g for n in range(1, 8) for g in generate_connected_graphs(n)]
     for g in graphs + [Graph.cycle(8), Graph.complete(8)]:
         assert list(lc_orbit(g).items()) == list(oracle.lc_orbit(g).items())
+
+
+def test_cap_raises_exactly_when_the_orbit_is_larger():
+    for n in range(1, 7):
+        for g in generate_connected_graphs(n):
+            size = len(oracle.lc_orbit(g))
+            for cap in range(1, size + 1):
+                if cap < size:
+                    with pytest.raises(OrbitCapExceeded):
+                        lc_orbit(g, cap=cap)
+                else:
+                    assert len(lc_orbit(g, cap=cap)) == size
+
+
+def test_census_labels_each_orbit_edge_once(monkeypatch):
+    # each orbit edge is labeled from one end only; labeling every edge
+    # from both ends takes 5,210 labelings here
+    calls = 0
+    labeling = canon.canonical_labeling
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return labeling(g)
+
+    monkeypatch.setattr(canon, "canonical_labeling", counted)
+    assert run_census(7).class_count == 26
+    assert calls < 3500

@@ -12,8 +12,8 @@ from enumeration_oracles import local_elements
 from graphclif import (CLIFFORD_CATALOG, Graph, LocalCliffordOp, PauliOperator,
                        bound_violation, canonical_form, conjugate_stabilizer,
                        distance_upper_bound, is_even_code, lc_class_key,
-                       lc_orbit, msc_check, s_equals_m, standard_generators,
-                       support_profile)
+                       lc_orbit, minimal_supports, msc_check, s_equals_m,
+                       standard_generators)
 from proposition2_oracle import verify_proposition2
 
 CASES = 1000
@@ -74,9 +74,10 @@ def test_support_multiplicities_on_minimal_supports():
     rng = np.random.default_rng(11)
     for _ in range(CASES):
         g = _random_connected(rng)
-        profile = support_profile(standard_generators(g))
-        for omega in profile.minimal:
-            a = profile.a_counts[omega]
+        s = standard_generators(g)
+        counts = s.support_counts()
+        for omega in minimal_supports(s):
+            a = counts[omega]
             assert a in (1, 3)
             if a == 3:
                 assert omega.bit_count() % 2 == 0

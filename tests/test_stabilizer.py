@@ -5,9 +5,12 @@ with legs 1-2, 2-3, 3-4, 3-5.  Their minimal structure is small enough
 to enumerate by hand, which pins the oracles here.
 """
 
+import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,10 +19,11 @@ import graphclif
 from enumeration_oracles import local_elements
 from graphclif import (FULL_PROFILE_LIMIT, CapabilityError, StabilizerGroup,
                        distance_upper_bound, is_even_code, minimal_elements,
-                       minimal_subgroup, msc_check, parse_pauli, s_equals_m,
-                       support_profile)
+                       minimal_subgroup, minimal_supports, msc_check,
+                       parse_pauli, s_equals_m)
 from graphclif.graphs import Graph
 from graphclif.graphstates import standard_generators
+from graphclif.stabilizer import DISTANCE_LEVEL_LIMIT
 
 
 def a4_group():
@@ -52,10 +56,10 @@ def test_is_element_checks_sign():
 
 def test_a4_minimal_structure():
     s = a4_group()
-    prof = support_profile(s)
-    assert prof.distance == 2
-    assert prof.minimal == (0b011, 0b101, 0b110)
-    assert all(prof.a_counts[m] == 1 for m in prof.minimal)
+    assert s.distance() == 2
+    assert minimal_supports(s) == (0b011, 0b101, 0b110)
+    counts = s.support_counts()
+    assert all(counts[m] == 1 for m in minimal_supports(s))
     mins = {str(p) for p in minimal_elements(s)}
     assert mins == {"+XZI", "+XIX", "+IZX"}
     # letters X/Z/X only: the GHZ-3 class fails the MSC
@@ -135,11 +139,30 @@ def test_table_caps_raise_capability_error():
     assert StabilizerGroup(gens[:3]).distance() == 2
 
 
+def test_distance_scan_refuses_a_level_past_the_cap():
+    # a dense 48-vertex graph has distance above 6, so the scan reaches
+    # the C(48, 6) vertex sets of size 6 and must refuse them before
+    # building them, not fill memory
+    rng = random.Random(5)
+    n = 48
+    g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                             if rng.random() < 0.5])
+    assert math.comb(n, 6) > DISTANCE_LEVEL_LIMIT >= math.comb(31, 6)
+    start = time.process_time()
+    with pytest.raises(CapabilityError, match="distance scan"):
+        standard_generators(g).distance()
+    assert time.process_time() - start < 1.0
+
+
 _OPTIMIZED_SCRIPT = """
 import contextlib, io, sys
-from graphclif import (CLIFFORD_CATALOG, CapabilityError, Graph, PauliOperator,
-                       StabilizerGroup, build_css, construct_lc, css_distance,
-                       generate_instance, parse_pauli, standard_generators,
+import numpy as np
+from graphclif import (CLIFFORD_CATALOG, CapabilityError, Graph,
+                       LocalCliffordOp, PauliOperator, StabilizerGroup,
+                       apply_local, apply_pauli, build_css, construct_lc,
+                       css_distance, find_clifford_conjugator,
+                       generate_instance, graph_state_vector, parse_pauli,
+                       stabilizer_state_vector, standard_generators,
                        to_graph6, weight_two_elements)
 from graphclif.cli import main
 from graphclif.construct import _split_pair
@@ -182,10 +205,26 @@ for build in (lambda: to_graph6(Graph.path(63)), lambda: Graph.cycle(2),
               lambda: weight_two_elements(standard_generators(Graph.path(21))),
               lambda: _split_pair(PauliOperator(2, 3, 0, 1), 0, 1),
               lambda: CLIFFORD_CATALOG[0].conjugate(parse_pauli("XX")),
-              lambda: css_distance(build_css(5))):
+              lambda: css_distance(build_css(5)),
+              lambda: LocalCliffordOp(["H"]),
+              lambda: LocalCliffordOp.identity(2).compose(
+                  LocalCliffordOp.identity(3)),
+              lambda: LocalCliffordOp.identity(2).conjugate_pauli(
+                  parse_pauli("X")),
+              lambda: find_clifford_conjugator(parse_pauli("XX")),
+              lambda: find_clifford_conjugator(parse_pauli("I")),
+              lambda: parse_pauli("XX").letter(3),
+              lambda: PauliOperator(13, 1, 0).to_matrix(),
+              lambda: graph_state_vector(Graph.path(13)),
+              lambda: stabilizer_state_vector(
+                  standard_generators(Graph.path(13))),
+              lambda: stabilizer_state_vector(
+                  StabilizerGroup([parse_pauli("XX")])),
+              lambda: apply_pauli(parse_pauli("XX"), np.ones(8)),
+              lambda: apply_local([np.eye(2)] * 2, np.ones(8))):
     try:
         bad = build()
-    except (ValueError, CapabilityError):
+    except (TypeError, ValueError, CapabilityError):
         pass
     else:
         sys.exit(f"{bad!r} was returned")
@@ -198,8 +237,11 @@ def test_membership_survives_python_O(tmp_path):
     # and PauliOperator constructors, to_graph6's size cap, the minimum
     # cycle length, the qubit-count check of a product, the vertex range
     # of a local complement, the size caps of the weight-2 scan and of
-    # css_distance, the Hermitian split of a weight-2 element and the
-    # one-qubit check of a Clifford conjugation likewise
+    # css_distance, the Hermitian split of a weight-2 element, the
+    # one-qubit check of a Clifford conjugation, the factor and qubit-count
+    # checks of a LocalCliffordOp, the conjugator's argument check, a
+    # Pauli letter's range, and the size, shape and state-group checks of
+    # the dense layer likewise
     src = Path(graphclif.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
