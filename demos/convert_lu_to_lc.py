@@ -34,7 +34,7 @@ def main():
     walkthrough("B4 (main-theorem route)", B4)
     walkthrough("C6 (no weight-2 elements: Clifford-only instance)",
                 Graph.cycle(6), seed=3)
-    walkthrough("K4 (GHZ route with bounded search fallback)",
+    walkthrough("K4 (GHZ route: leftover qubits from a GF(2) solve)",
                 Graph.complete(4), seed=5)
 
     print("== C4 (open class: conversion is not attempted)")

@@ -7,7 +7,7 @@ stderr.  Exit codes are a stable contract:
     0  success / verdict true
     1  verdict false
     2  input parse error, or input the library rejects with ValueError
-    3  capability limit (size, orbit cap)
+    3  capability limit (size, orbit cap, completion point bound)
     4  local-unitary inconsistency while constructing
     5  unsupported graph class
 
@@ -225,8 +225,7 @@ def _load_instance(path: str) -> LUInstance:
 def cmd_construct_lc(args) -> int:
     t0 = time.monotonic()
     inst = _load_instance(args.instance)
-    result = construct_lc(inst.graph, inst.s_prime, inst.u,
-                          fallback_cap=args.cap)
+    result = construct_lc(inst.graph, inst.s_prime, inst.u)
     if args.out:
         with open(args.out, "w") as f:
             f.write(result.to_json() + "\n")
@@ -303,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("construct-lc",
                         help="rebuild a local-Clifford witness from an instance")
     pl.add_argument("--instance", required=True)
-    pl.add_argument("--cap", type=int, default=8,
-                    help="search fallback cap on unresolved qubits")
     pl.add_argument("--out", help="write raw result JSON here")
     pl.set_defaults(func=cmd_construct_lc)
 

@@ -17,8 +17,10 @@ included.  The procedure is partition-driven:
     induced logical operation, a diagonal unitary that snaps to a
     catalog element; each leaf's factor is H o F.
   * Graphs whose orbit holds a star or complete graph can leave qubits
-    unresolved (complete graphs have no leaf blocks at all); those are
-    settled by a pruned search over catalog assignments.
+    unresolved (complete graphs have no leaf blocks at all).  With the
+    other qubits fixed, LC equivalence is a linear system over GF(2) in
+    their symplectic matrices (Bouchet, Combinatorica 11, 1991; Van den
+    Nest, Dehaene & De Moor, quant-ph/0405023), which settles them.
 
 Every returned result has already passed verify_lc; failures raise
 instead of returning.
@@ -34,15 +36,18 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import xor
 from types import MappingProxyType
 
 import numpy as np
 
-from .cliffords import (CLIFFORD_CATALOG, LocalCliffordOp,
-                        SingleQubitClifford, clifford_by_name,
-                        conjugate_stabilizer, find_clifford_conjugator,
-                        is_clifford, pauli_match)
+from .cliffords import (CLIFFORD_CATALOG, IDENTITY_1Q, LocalCliffordOp,
+                        clifford_by_name, conjugate_stabilizer,
+                        find_clifford_conjugator, is_clifford, pauli_match)
 from .errors import CapabilityError
+from .gf2 import bit_column, solve
 from .graphs import Graph, from_graph6, to_graph6, vertex_partition
 from .graphstates import classify_theorem, standard_generators
 from .pauli import PauliOperator, parse_pauli
@@ -51,7 +56,7 @@ from .states import (DENSE_LIMIT, apply_local, equal_up_to_global_phase,
                      graph_state_vector, is_diagonal,
                      stabilizer_state_vector)
 
-FALLBACK_CAP = 8
+COMPLETION_POINTS = 1 << 16  # solutions tried; all of them up to dimension 16
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
@@ -60,10 +65,15 @@ _H = clifford_by_name("H")
 # Provenance entries are read-only and shared, so a result holds only
 # references to them.
 _COPIED = MappingProxyType({"rule": "copied"})
-_SEARCH = MappingProxyType({"rule": "search"})
+_LINEAR = MappingProxyType({"rule": "linear"})
 _BLOCK = {(role, f.name): MappingProxyType({"rule": "block", "role": role,
                                             "f": f.name, "branch": "diagonal"})
           for role in ("center", "leaf") for f in CLIFFORD_CATALOG}
+
+# The first catalog element per symplectic matrix, keyed by the nibble
+# a | b << 1 | c << 2 | d << 3 where X maps to X^a Z^c and Z to X^b Z^d.
+_BY_SYMPLECTIC = {f.img_x.x_bits | f.img_z.x_bits << 1 | f.img_x.z_bits << 2
+                  | f.img_z.z_bits << 3: f for f in reversed(CLIFFORD_CATALOG)}
 
 
 class Fact1Error(ValueError):
@@ -246,8 +256,7 @@ def _image_pauli(u: np.ndarray, p: np.ndarray) -> PauliOperator | None:
     return pauli_match(u.conj().T @ p @ u)
 
 
-def construct_lc(g: Graph, s_prime: StabilizerGroup, u,
-                 fallback_cap: int = FALLBACK_CAP) -> LCResult:
+def construct_lc(g: Graph, s_prime: StabilizerGroup, u) -> LCResult:
     n = g.n
     if s_prime.n != n or len(u) != n:
         raise ValueError("graph, stabilizer and local op sizes disagree")
@@ -263,13 +272,11 @@ def construct_lc(g: Graph, s_prime: StabilizerGroup, u,
     part = vertex_partition(g)
     k_factors: list = [None] * n
     prov: list = [None] * n
-    unresolved: list = []
 
     def defer(i, why):
         if not ghz:
             raise Fact1Error(why)
-        unresolved.append(i)
-        prov[i] = _SEARCH
+        prov[i] = _LINEAR
 
     for i in range(n):
         if not ((part.v3 >> i) & 1 or (part.v4 >> i) & 1):
@@ -318,16 +325,14 @@ def construct_lc(g: Graph, s_prime: StabilizerGroup, u,
             prov[w] = _BLOCK["leaf", f_leaf[w].name]
 
     for i in range(n):
-        if k_factors[i] is None and prov[i] is None:
+        if prov[i] is None:
             # leaves with no V2 anchor (the two-vertex complete graph)
             defer(i, "inputs are not Fact-1 consistent: "
                      f"vertex {i + 1} has no assignment rule")
 
+    unresolved = [i for i in range(n) if prov[i] is _LINEAR]
     if unresolved:
-        if len(unresolved) > fallback_cap:
-            raise CapabilityError(
-                f"{len(unresolved)} unresolved qubits exceed the search cap {fallback_cap}")
-        _search_completion(g, s_prime, k_factors, sorted(unresolved))
+        _linear_completion(g, s_prime, k_factors, unresolved)
 
     k_op = LocalCliffordOp(k_factors)
     if not verify_lc(g, s_prime, k_op):
@@ -336,61 +341,52 @@ def construct_lc(g: Graph, s_prime: StabilizerGroup, u,
     return LCResult(k=k_op, provenance=tuple(prov), verified=True)
 
 
-def _search_completion(g: Graph, s_prime: StabilizerGroup, k_factors, unresolved):
-    """Depth-first catalog assignment for the unresolved qubits.
+def _linear_completion(g: Graph, s_prime: StabilizerGroup, k_factors, unresolved):
+    """Fill k_factors on the unresolved qubits from GF(2) solves.
 
-    Pruning: the conjugated image of each source generator must agree,
-    letter by letter on every already-determined qubit, with at least one
-    target element.  Signs are settled by the exact check on full
-    assignments.
+    Qubit q takes a symplectic matrix (a, b, c, d), mapping X^x Z^z to
+    X^(ax + bz) Z^(cx + dz) up to sign.  A conjugated generator (x, z) is
+    in the phase-blind span of S(G) iff z = Theta x, affine in those bits.
+    Solutions are tried fewest kernel vectors first, and one is taken once
+    every ad + bc = 1 and a Pauli from a second solve fixes every sign.
     """
-    n = g.n
+    n, gens = g.n, s_prime.generators
     target = standard_generators(g)
-    gens = s_prime.generators
-
-    # letter code 2*x + z per (element, qubit)
-    x, z = mask_tables(target.generators)
-    qubits = np.arange(n, dtype=np.uint64)
-    codes = (2 * ((x[:, None] >> qubits) & 1)
-             + ((z[:, None] >> qubits) & 1)).astype(np.uint8)
-
-    def image_code(gen: PauliOperator, q: int, factor: SingleQubitClifford) -> int:
-        w = PauliOperator(1, (gen.x_bits >> q) & 1, (gen.z_bits >> q) & 1, 0)
-        img = factor.conjugate(w)
-        return 2 * img.x_bits + img.z_bits
-
-    masks = [np.ones(len(codes), dtype=bool) for _ in gens]
-    for q in range(n):
-        if k_factors[q] is None:
+    free = sum(1 << q for q in unresolved)
+    fixed = LocalCliffordOp([f or IDENTITY_1Q for f in k_factors])
+    # bit i*n + j is generator i at vertex j; xs * row copies row per block
+    rhs = 0
+    for i, img in enumerate(map(fixed.conjugate_pauli, gens)):
+        x, z = img.x_bits & ~free, img.z_bits & ~free
+        rhs |= (z ^ target.element_from_mask(x).z_bits) << (i * n)
+    columns = []
+    for q in unresolved:
+        xs = sum(1 << (i * n) for i, p in enumerate(gens) if (p.x_bits >> q) & 1)
+        zs = sum(1 << (i * n) for i, p in enumerate(gens) if (p.z_bits >> q) & 1)
+        columns += [xs * g.adj[q], zs * g.adj[q], xs << q, zs << q]
+    solution = solve(columns, rhs)
+    kernel = solution[1] if solution else []
+    points = (reduce(xor, combo, solution[0]) for r in range(len(kernel) + 1)
+              for combo in combinations(kernel, r)) if solution else ()
+    for _, point in zip(range(COMPLETION_POINTS), points):
+        for t, q in enumerate(unresolved):
+            k_factors[q] = _BY_SYMPLECTIC.get((point >> (4 * t)) & 15)
+        if None in k_factors:
             continue
-        for gi, gen in enumerate(gens):
-            masks[gi] &= codes[:, q] == image_code(gen, q, k_factors[q])
-    if not all(m.any() for m in masks):
-        raise Fact1Error("inputs are not Fact-1 consistent: resolved qubits "
-                         "rule out every completion")
-
-    def dfs(depth: int, masks) -> bool:
-        if depth == len(unresolved):
-            op = LocalCliffordOp(k_factors)
-            return all(target.is_element(op.conjugate_pauli(p)) for p in gens)
-        q = unresolved[depth]
-        for cand in CLIFFORD_CATALOG:
-            nxt = []
-            ok = True
-            for gi, gen in enumerate(gens):
-                m = masks[gi] & (codes[:, q] == image_code(gen, q, cand))
-                if not m.any():
-                    ok = False
-                    break
-                nxt.append(m)
-            if not ok:
-                continue
-            k_factors[q] = cand
-            if dfs(depth + 1, nxt):
-                return True
-            k_factors[q] = None
-        return False
-
-    if not dfs(0, masks):
-        raise Fact1Error("inputs are not Fact-1 consistent: "
-                         "no catalog completion exists")
+        images = list(map(LocalCliffordOp(k_factors).conjugate_pauli, gens))
+        flips = sum((img != target.element_from_mask(img.x_bits)) << i
+                    for i, img in enumerate(images))
+        # X on qubit q flips the images with Z there, Z those with X there
+        z_rows, x_rows = [p.z_bits for p in images], [p.x_bits for p in images]
+        fix = solve([bit_column(rows, q) for q in unresolved
+                     for rows in (z_rows, x_rows)], flips)
+        if fix is not None:
+            for t, q in enumerate(unresolved):
+                pauli = clifford_by_name("IXZY"[(fix[0] >> (2 * t)) & 3])
+                k_factors[q] = pauli.compose(k_factors[q])
+            return
+    if 1 << len(kernel) > COMPLETION_POINTS:
+        raise CapabilityError(f"no completion in the first {COMPLETION_POINTS} "
+                              f"points of a {len(kernel)}-dimensional solution space")
+    raise Fact1Error("inputs are not Fact-1 consistent: "
+                     "no local Clifford completion exists")

@@ -1,7 +1,8 @@
 """Linear algebra over GF(2) on integer bit vectors.
 
-Two tools serve every module: Echelon, an incremental row-echelon basis
-that remembers which inserted vectors each row combines, and span_table,
+Echelon is an incremental row-echelon basis that remembers which inserted
+vectors each row combines; solve reads every solution of a linear system
+off an Echelon of its columns (bit_column transposes); span_table holds
 all 2^k XOR combinations of k rows as a uint64 array, built by doubling
 so that index i holds the combination selected by the bits of i.
 """
@@ -48,6 +49,26 @@ class Echelon:
     def rows(self) -> tuple[int, ...]:
         """The basis vectors, leading bit descending."""
         return tuple(row for row, _, _ in self._rows)
+
+
+def bit_column(words, j: int) -> int:
+    """Bit j of every word, as a mask over the words."""
+    return sum(((w >> j) & 1) << i for i, w in enumerate(words))
+
+
+def solve(columns, target: int = 0):
+    """The x with XOR of columns[j] over the set bits j of x equal to target:
+    (particular, kernel) with every solution particular ^ an XOR of kernel
+    vectors, or None.  Columns enter last first, so each kernel vector sets
+    its lowest column and later ones, and the kernel ascends by that column.
+    """
+    echelon, kernel = Echelon(), []
+    for j in reversed(range(len(columns))):
+        residual, combo = echelon.reduce(columns[j], 1 << j)
+        if not echelon.add(residual, combo):
+            kernel.insert(0, combo)
+    residual, particular = echelon.reduce(target)
+    return None if residual else (particular, kernel)
 
 
 def span_table(rows) -> np.ndarray:

@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .errors import CapabilityError
-from .gf2 import Echelon, span_table
+from .gf2 import Echelon, bit_column, solve, span_table
 from .pauli import PauliOperator
 from .stabilizer import StabilizerGroup
 
@@ -73,21 +73,8 @@ class BinaryCode:
 
     def dual(self) -> "BinaryCode":
         """Kernel basis of the generator matrix."""
-        n = self.length
-        rows = list(self.rows)
-        pivots = []
-        for r in rows:
-            pivots.append(r.bit_length() - 1)
-        free = [j for j in range(n) if j not in pivots]
-        # solve for pivot coordinates so every generator row is orthogonal
-        duals = []
-        for j in free:
-            word = 1 << j
-            for r, p in sorted(zip(rows, pivots), key=lambda t: t[1]):
-                if (r & word).bit_count() % 2:
-                    word ^= 1 << p
-            duals.append(word)
-        return BinaryCode(n, duals)
+        columns = [bit_column(self.rows, j) for j in range(self.length)]
+        return BinaryCode(self.length, solve(columns)[1])
 
     def even_subcode(self) -> "BinaryCode":
         odd = [r for r in self.rows if r.bit_count() % 2]
@@ -157,21 +144,24 @@ def build_css(m: int) -> CSSCode:
     dual1 = c1.dual()
     n = c1.length
 
-    for x in c2.rows:
-        assert c1.contains(x)
-        for z in dual1.rows:
-            assert (x & z).bit_count() % 2 == 0, "CSS rows must be orthogonal"
+    if not all(c1.contains(x) for x in c2.rows):
+        raise ValueError("C2 must lie inside C1")
+    if any((x & z).bit_count() % 2 for x in c2.rows for z in dual1.rows):
+        raise ValueError("CSS rows must be orthogonal")
 
     min_wt = 1 << (m - 1)
     words = c1.codewords()
     odd = words[np.bitwise_count(words) == min_wt - 1]
-    assert odd.size, "C1 minus C2 must contain minimum-weight words"
+    if not odd.size:
+        raise ValueError("C1 minus C2 must contain minimum-weight words")
     logical_x = int(odd.min())
     logical_z = (1 << n) - 1
-    assert (logical_x & logical_z).bit_count() % 2 == 1
+    if (logical_x & logical_z).bit_count() % 2 == 0:
+        raise ValueError("the logical operators must anticommute")
     css = CSSCode(n=n, x_rows=c2.rows, z_rows=dual1.rows,
                   logical_x=logical_x, logical_z=logical_z)
-    assert css.k == 1
+    if css.k != 1:
+        raise ValueError(f"the CSS code must encode one qubit, not {css.k}")
     return css
 
 

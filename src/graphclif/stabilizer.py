@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError
-from .gf2 import Echelon, span_table
+from .gf2 import Echelon, bit_column, span_table
 from .pauli import PauliOperator, identity
 
 FULL_PROFILE_LIMIT = 20  # full in-memory support tables up to 2^20 entries
@@ -204,11 +204,6 @@ class StabilizerGroup:
         return out
 
 
-def _bit_column(words, j: int) -> int:
-    """Bit j of every word, as a mask over the words."""
-    return sum(((w >> j) & 1) << i for i, w in enumerate(words))
-
-
 def _minimal_table(group: StabilizerGroup):
     """(classes, support, minimal): qubit masks of the classes of qubits
     that the same elements touch, the support of every element as a mask
@@ -222,7 +217,7 @@ def _minimal_table(group: StabilizerGroup):
     """
     xs = [g.x_bits for g in group.generators]
     zs = [g.z_bits for g in group.generators]
-    cols = [(_bit_column(xs, j), _bit_column(zs, j)) for j in range(group.n)]
+    cols = [(bit_column(xs, j), bit_column(zs, j)) for j in range(group.n)]
     spans: dict[frozenset, int] = {}
     for j, (cx, cz) in enumerate(cols):
         span = frozenset((cx, cz, cx ^ cz)) - {0}
@@ -234,7 +229,7 @@ def _minimal_table(group: StabilizerGroup):
     # first qubit, at most FULL_PROFILE_LIMIT bits) share one 64-bit word,
     # and OR-ing the halves of its span in place leaves the supports
     first_x, first_z = zip(*(cols[(c & -c).bit_length() - 1] for c in classes))
-    words = span_table([_bit_column(first_x, i) | _bit_column(first_z, i) << 32
+    words = span_table([bit_column(first_x, i) | bit_column(first_z, i) << 32
                         for i in range(group.k)])
     halves = words.view(np.uint32).reshape(-1, 2)
     support = np.bitwise_or(halves[:, 0], halves[:, 1], out=halves[:, 0])

@@ -9,13 +9,15 @@ all 24 catalog actions, where the library projects onto the basis.
 Equitable refinement here keeps cells as vertex lists and buckets every
 cell in a dict, where the library splits bitmask cells; LC orbits here
 complement every vertex of every member, where the library complements
-one vertex per automorphism orbit.
+one vertex per automorphism orbit.  The GHZ completion here assigns
+catalog Cliffords depth first, where the library solves a linear system.
 """
 
 import numpy as np
 
-from graphclif import (CLIFFORD_CATALOG, StabilizerGroup, canonical_form,
-                       canonical_graph, parse_pauli)
+from graphclif import (CLIFFORD_CATALOG, Fact1Error, LocalCliffordOp,
+                       PauliOperator, StabilizerGroup, canonical_form,
+                       canonical_graph, parse_pauli, standard_generators)
 from graphclif.gf2 import Echelon
 from graphclif.graphs import Graph
 from graphclif.stabilizer import mask_tables
@@ -190,3 +192,63 @@ def lc_orbit(g):
                     fresh.append(orbit[key])
         frontier = fresh
     return orbit
+
+
+def search_completion(g, s_prime, k_factors, unresolved):
+    """Depth-first catalog assignment for the unresolved qubits.
+
+    Pruning: the conjugated image of each source generator must agree,
+    letter by letter on every already-determined qubit, with at least one
+    target element.  Signs are settled by the exact check on full
+    assignments.
+    """
+    n = g.n
+    target = standard_generators(g)
+    gens = s_prime.generators
+
+    # letter code 2*x + z per (element, qubit)
+    x, z = mask_tables(target.generators)
+    qubits = np.arange(n, dtype=np.uint64)
+    codes = (2 * ((x[:, None] >> qubits) & 1)
+             + ((z[:, None] >> qubits) & 1)).astype(np.uint8)
+
+    def image_code(gen, q, factor):
+        w = PauliOperator(1, (gen.x_bits >> q) & 1, (gen.z_bits >> q) & 1, 0)
+        img = factor.conjugate(w)
+        return 2 * img.x_bits + img.z_bits
+
+    masks = [np.ones(len(codes), dtype=bool) for _ in gens]
+    for q in range(n):
+        if k_factors[q] is None:
+            continue
+        for gi, gen in enumerate(gens):
+            masks[gi] &= codes[:, q] == image_code(gen, q, k_factors[q])
+    if not all(m.any() for m in masks):
+        raise Fact1Error("inputs are not Fact-1 consistent: resolved qubits "
+                         "rule out every completion")
+
+    def dfs(depth, masks):
+        if depth == len(unresolved):
+            op = LocalCliffordOp(k_factors)
+            return all(target.is_element(op.conjugate_pauli(p)) for p in gens)
+        q = unresolved[depth]
+        for cand in CLIFFORD_CATALOG:
+            nxt = []
+            ok = True
+            for gi, gen in enumerate(gens):
+                m = masks[gi] & (codes[:, q] == image_code(gen, q, cand))
+                if not m.any():
+                    ok = False
+                    break
+                nxt.append(m)
+            if not ok:
+                continue
+            k_factors[q] = cand
+            if dfs(depth + 1, nxt):
+                return True
+            k_factors[q] = None
+        return False
+
+    if not dfs(0, masks):
+        raise Fact1Error("inputs are not Fact-1 consistent: "
+                         "no catalog completion exists")

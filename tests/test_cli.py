@@ -255,6 +255,23 @@ def test_gen_construct_verify_pipeline(capsys, tmp_path):
     assert envelope(out)["results"]["verified"] is True
 
 
+def test_construct_k12_six_pairs_exits_0(capsys, tmp_path):
+    # nine of twelve qubits are left to the GHZ completion
+    inst = tmp_path / "inst.json"
+    res = tmp_path / "res.json"
+    code, _, _ = run(capsys, ["gen-instance", "--graph6",
+                              to_graph6(Graph.complete(12)), "--seed", "600",
+                              "--pairs", "6", "--out", str(inst)])
+    assert code == 0
+    code, out, _ = run(capsys, ["construct-lc", "--instance", str(inst),
+                                "--out", str(res)])
+    assert code == 0
+    assert {"rule": "linear"} in envelope(out)["results"]["provenance"]
+    code, _, _ = run(capsys, ["verify", "--instance", str(inst),
+                              "--result", str(res), "--dense"])
+    assert code == 0
+
+
 def test_identity_witness_exits_1(capsys, tmp_path):
     inst = tmp_path / "inst.json"
     run(capsys, ["gen-instance", "--edges", B4_EDGES, "--seed", "7",

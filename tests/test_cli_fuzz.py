@@ -92,11 +92,17 @@ def _edge_text(rng):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """Valid instance and result documents to mutate."""
+    """Valid instance and result documents to mutate; the complete graphs
+    leave qubits to the GHZ completion."""
     out = []
     for seed, g in enumerate(GRAPHS):
         inst = generate_instance(g, seed=seed, num_phase_pairs=2)
         res = construct_lc(inst.graph, inst.s_prime, inst.u)
+        out.append((inst.to_json(), res.to_json()))
+    for g in (Graph.complete(4), Graph.complete(5)):
+        inst = generate_instance(g, seed=1, num_phase_pairs=4)
+        res = construct_lc(inst.graph, inst.s_prime, inst.u)
+        assert {"rule": "linear"} in res.provenance
         out.append((inst.to_json(), res.to_json()))
     return out
 
@@ -132,8 +138,7 @@ def _cases(corpus, tmp_path):
             else:
                 target.write_text(json.dumps(_mutate_doc(rng, json.loads(text))))
             if kind == 2 and rng.random() < 0.5:
-                yield ["construct-lc", "--instance", str(inst_path),
-                       "--cap", str(rng.choice([0, 1, 8]))]
+                yield ["construct-lc", "--instance", str(inst_path)]
             else:
                 yield ["verify", "--instance", str(inst_path),
                        "--result", str(res_path),

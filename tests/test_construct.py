@@ -7,14 +7,19 @@ n) is the final referee.
 """
 
 import json
+import random
+import time
 
 import numpy as np
 import pytest
 
+from enumeration_oracles import search_completion
 from graphclif import (CapabilityError, Fact1Error, Graph, LUInstance,
-                       UnsupportedClassError, construct_lc, generate_instance,
+                       UnsupportedClassError, construct, construct_lc,
+                       from_graph6, generate_instance, run_census,
                        standard_generators, verify_lc, weight_two_elements)
 from graphclif.cliffords import LocalCliffordOp, clifford_by_name
+from graphclif.construct import _linear_completion
 from graphclif.states import (apply_local, equal_up_to_global_phase,
                               graph_state_vector, stabilizer_state_vector)
 
@@ -82,14 +87,14 @@ def test_ghz_fallback_provenance():
     inst = generate_instance(Graph.complete(4), seed=9, num_phase_pairs=1)
     res = construct_lc(inst.graph, inst.s_prime, inst.u)
     assert res.verified
-    assert any(p.get("rule") == "search" for p in res.provenance)
+    assert any(p.get("rule") == "linear" for p in res.provenance)
 
 
 def test_leaf_rule_provenance():
     inst = generate_instance(b4(), seed=11)
     res = construct_lc(inst.graph, inst.s_prime, inst.u)
     rules = {p.get("rule") for p in res.provenance}
-    assert "search" not in rules
+    assert "linear" not in rules
 
 
 def test_unsupported_class_raises():
@@ -142,7 +147,88 @@ def test_result_json_fields():
     assert verify_lc(inst.graph, inst.s_prime, rebuilt)
 
 
-def test_fallback_cap():
-    inst = generate_instance(Graph.complete(5), seed=1)
-    with pytest.raises(CapabilityError):
-        construct_lc(inst.graph, inst.s_prime, inst.u, fallback_cap=0)
+def _random_connected(rng, n):
+    while True:
+        g = Graph.from_edges(n, [(a, b) for a in range(n)
+                                 for b in range(a + 1, n) if rng.random() < 0.5])
+        if g.is_connected():
+            return g
+
+
+def test_linear_completion_on_lc_walks():
+    # with every qubit unresolved the completion decides labelled LC
+    # equivalence; a labelled local-complement walk keeps it
+    rng = random.Random(20)
+    for n in range(2, 8):
+        for _ in range(20):
+            g = _random_connected(rng, n)
+            h = g
+            for _ in range(rng.randint(0, 6)):
+                h = h.local_complement(rng.randrange(n))
+            s_prime = standard_generators(h)
+            k = [None] * n
+            _linear_completion(g, s_prime, k, list(range(n)))
+            assert verify_lc(g, s_prime, LocalCliffordOp(k)), (g, h)
+
+
+def test_linear_completion_refuses_distinct_classes():
+    for n in range(3, 7):
+        reps = [from_graph6(r.rep_g6) for r in run_census(n).records]
+        for g in reps:
+            for h in reps:
+                if g != h:
+                    with pytest.raises(Fact1Error):
+                        _linear_completion(g, standard_generators(h),
+                                           [None] * n, list(range(n)))
+
+
+def _completed_by(monkeypatch, completion, inst, u):
+    """construct_lc's outcome with the given GHZ completion in place."""
+    monkeypatch.setattr(construct, "_linear_completion", completion)
+    try:
+        return construct_lc(inst.graph, inst.s_prime, u).k
+    except Fact1Error:
+        return None
+
+
+def test_linear_completion_agrees_with_search(monkeypatch):
+    cases = []
+    for n in range(3, 7):
+        for g in (Graph.star(n), Graph.complete(n)):
+            for seed in range(3):
+                inst = generate_instance(g, seed=seed, num_phase_pairs=3)
+                cases.append((inst, list(inst.u)))
+    # a wrong Clifford on a copied qubit of a GHZ instance
+    inst = generate_instance(Graph.complete(4), seed=1)
+    u = list(inst.u)
+    u[3] = u[3] @ clifford_by_name("H").matrix
+    cases.append((inst, u))
+    refused = 0
+    for inst, u in cases:
+        linear = _completed_by(monkeypatch, _linear_completion, inst, u)
+        search = _completed_by(monkeypatch, search_completion, inst, u)
+        assert (linear is None) == (search is None), inst.trace
+        if linear is None:
+            refused += 1
+        else:
+            assert verify_lc(inst.graph, inst.s_prime, linear, dense=True)
+    assert refused == 1
+
+
+@pytest.mark.parametrize("seed", [600, 601, 602])
+def test_k12_six_pairs(seed):
+    inst = generate_instance(Graph.complete(12), seed=seed, num_phase_pairs=6)
+    start = time.process_time()
+    res = construct_lc(inst.graph, inst.s_prime, inst.u)
+    assert time.process_time() - start < 1.0
+    assert {"rule": "linear"} in res.provenance
+    assert verify_lc(inst.graph, inst.s_prime, res.k, dense=True)
+
+
+def test_completion_point_bound(monkeypatch):
+    # the particular solution of this instance is not a witness
+    inst = generate_instance(Graph.complete(4), seed=1, num_phase_pairs=3)
+    assert construct_lc(inst.graph, inst.s_prime, inst.u).verified
+    monkeypatch.setattr(construct, "COMPLETION_POINTS", 1)
+    with pytest.raises(CapabilityError, match="solution space"):
+        construct_lc(inst.graph, inst.s_prime, inst.u)

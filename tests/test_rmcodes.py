@@ -38,6 +38,31 @@ def test_even_subcode_and_duals():
             assert (r & d).bit_count() % 2 == 0
 
 
+# the rows of BinaryCode.dual at the commit before it moved onto gf2.solve
+_DUAL_ROWS = {
+    3: ([0x55, 0x33, 0x1e], [0x61, 0x33, 0x19, 0x7]),
+    4: ([0x4444, 0x2442, 0x1441, 0x88f, 0x483, 0x285, 0x186, 0x4b, 0x2d,
+         0x1e],
+        [0x6001, 0x3003, 0x140a, 0x888, 0x483, 0x282, 0x181, 0x4b, 0x2a,
+         0x19, 0x7]),
+    5: ([0x54404001, 0x30000003, 0x1040400e, 0x8008088, 0x4404004,
+         0x2008082, 0x1008081, 0x808087, 0x40800c, 0x20800a, 0x108009,
+         0x8800f, 0x48003, 0x28005, 0x18006, 0x408c, 0x208a, 0x1089, 0x88f,
+         0x483, 0x285, 0x186, 0x4b, 0x2d, 0x1e],
+        [0x60000001, 0x30000003, 0x1400000a, 0x8008088, 0x4400088,
+         0x2008082, 0x1008081, 0x808080, 0x40800b, 0x20800a, 0x108009,
+         0x88008, 0x48003, 0x28002, 0x18001, 0x408b, 0x208a, 0x1089, 0x888,
+         0x483, 0x282, 0x181, 0x4b, 0x2a, 0x19, 0x7]),
+}
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_dual_rows_pinned(m):
+    c1 = punctured_rm1(m)
+    assert (list(c1.dual().rows), list(c1.even_subcode().dual().rows)) \
+        == _DUAL_ROWS[m]
+
+
 def test_dual_dimension_and_double_dual():
     for m in (3, 4):
         c = punctured_rm1(m)

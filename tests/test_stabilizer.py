@@ -157,7 +157,7 @@ def test_distance_scan_refuses_a_level_past_the_cap():
 _OPTIMIZED_SCRIPT = """
 import contextlib, io, sys
 import numpy as np
-from graphclif import (CLIFFORD_CATALOG, CapabilityError, Graph,
+from graphclif import (CLIFFORD_CATALOG, BinaryCode, CapabilityError, Graph,
                        LocalCliffordOp, PauliOperator, StabilizerGroup,
                        apply_local, apply_pauli, build_css, construct_lc,
                        css_distance, find_clifford_conjugator,
@@ -165,6 +165,7 @@ from graphclif import (CLIFFORD_CATALOG, CapabilityError, Graph,
                        stabilizer_state_vector, standard_generators,
                        to_graph6, weight_two_elements)
 from graphclif.cli import main
+from graphclif import rmcodes
 from graphclif.construct import _split_pair
 
 inst = generate_instance(Graph.cycle(5), seed=3)
@@ -228,6 +229,30 @@ for build in (lambda: to_graph6(Graph.path(63)), lambda: Graph.cycle(2),
         pass
     else:
         sys.exit(f"{bad!r} was returned")
+# build_css with one step replaced, so that one check must fail
+for owner, name, value, m, want in (
+        (BinaryCode, "even_subcode", lambda c: BinaryCode(c.length, [1]), 3,
+         "inside C1"),
+        (BinaryCode, "dual",
+         lambda c: BinaryCode(c.length, [1 << j for j in range(c.length)]), 3,
+         "orthogonal"),
+        (rmcodes, "punctured_rm1", lambda m: BinaryCode(7, [3, 12]), 3,
+         "minimum-weight"),
+        (rmcodes, "punctured_rm1", lambda m: BinaryCode(1, [1]), 1,
+         "anticommute"),
+        (BinaryCode, "even_subcode", lambda c: BinaryCode(c.length, []), 3,
+         "one qubit")):
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        build_css(m)
+    except ValueError as exc:
+        if want not in str(exc):
+            sys.exit(f"build_css raised {exc}, not the {want!r} check")
+    else:
+        sys.exit(f"build_css passed without the {want!r} check")
+    finally:
+        setattr(owner, name, saved)
 """
 
 
@@ -240,8 +265,8 @@ def test_membership_survives_python_O(tmp_path):
     # css_distance, the Hermitian split of a weight-2 element, the
     # one-qubit check of a Clifford conjugation, the factor and qubit-count
     # checks of a LocalCliffordOp, the conjugator's argument check, a
-    # Pauli letter's range, and the size, shape and state-group checks of
-    # the dense layer likewise
+    # Pauli letter's range, the size, shape and state-group checks of the
+    # dense layer, and build_css's five consistency checks likewise
     src = Path(graphclif.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
